@@ -57,11 +57,34 @@ fn bench_tokenize(c: &mut Criterion) {
     });
 }
 
+/// A deterministic `rows × cols` operand for the kernel benches.
+fn operand(rows: usize, cols: usize, salt: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |r, cc| ((r * 31 + cc * 7 + salt) as f32).sin())
+}
+
+/// The GEMM kernel at the shapes the model runs, named `m×k×n`: a
+/// 48-row activation through a 32→32 projection; the backward products
+/// of a 48-row 32→64 FFN projection (`da = g·Wᵀ`, `dW = xᵀ·g`); and the
+/// scoring head's 32 mask rows against the tied decoder (V = 4536, the
+/// SEMI-HETER vocabulary).
 fn bench_matmul(c: &mut Criterion) {
-    let a = Matrix::from_fn(48, 32, |r, cc| ((r * 31 + cc) as f32).sin());
-    let bm = Matrix::from_fn(32, 32, |r, cc| ((r + cc * 7) as f32).cos());
+    let a = operand(48, 32, 0);
+    let bm = operand(32, 32, 1);
     c.bench_function("matmul_48x32x32", |b| {
         b.iter(|| black_box(a.matmul(black_box(&bm))))
+    });
+    let g = operand(48, 64, 2);
+    let w = operand(32, 64, 3);
+    c.bench_function("matmul_nt_48x64x32", |b| {
+        b.iter(|| black_box(g.matmul_nt(black_box(&w))))
+    });
+    c.bench_function("matmul_tn_32x48x64", |b| {
+        b.iter(|| black_box(a.matmul_tn(black_box(&g))))
+    });
+    let h = operand(32, 32, 4);
+    let decoder_t = operand(32, 4536, 5);
+    c.bench_function("matmul_head_32x32x4536", |b| {
+        b.iter(|| black_box(h.matmul(black_box(&decoder_t))))
     });
 }
 

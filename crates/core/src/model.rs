@@ -6,6 +6,7 @@
 
 use crate::encode::{EncodedPair, Example};
 use crate::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
+use em_lm::heads::MlmHead;
 use em_lm::prompt::{LabelWords, PromptMode, PromptTemplate, TemplateId, Verbalizer};
 use em_lm::PretrainedLm;
 use em_nn::{AdamW, Matrix, NoGradTape, ParamStore, Tape, TapeExec};
@@ -20,13 +21,69 @@ use std::sync::Arc;
 /// boundaries decide where worker RNG streams are split.
 const SCORE_CHUNK: usize = 32;
 
-/// Match probabilities for a batch of pairs on any executor — the recording
-/// [`Tape`] or the tape-free [`NoGradTape`]. Free-standing (not a method)
-/// so scoring workers can run it against `&self` field borrows concurrently,
-/// each with its own tape and RNG stream. Only the `[MASK]` hidden state
-/// feeds the MLM head, so the forward takes the single-row last-layer path
-/// (`forward_mask_row`) — bit-exact with slicing the full forward,
-/// including its RNG draw count.
+/// One scoring call's shared state: the model parts it reads, plus two
+/// per-call precomputations that every chunk (and every pool worker)
+/// reuses — the prompt encoder's output rows and the transposed tied
+/// decoder. Both are exact copies of what a per-chunk forward computes,
+/// so scoring against them is bit-identical.
+struct Scorer<'m> {
+    lm: &'m PretrainedLm,
+    template: &'m PromptTemplate,
+    verbalizer: &'m Verbalizer,
+    prompt_rows: Option<Matrix>,
+    decoder_t: Matrix,
+}
+
+impl<'m> Scorer<'m> {
+    fn new(lm: &'m PretrainedLm, template: &'m PromptTemplate, verbalizer: &'m Verbalizer) -> Self {
+        Scorer {
+            lm,
+            template,
+            verbalizer,
+            prompt_rows: template.prompt_rows_matrix(&lm.store),
+            decoder_t: MlmHead::decoder_t(&lm.store, &lm.encoder),
+        }
+    }
+
+    /// Match probabilities for a batch of pairs on any executor — the
+    /// recording [`Tape`] or the tape-free [`NoGradTape`]. Takes `&self`
+    /// so scoring workers run it concurrently, each with its own tape and
+    /// RNG stream. Only the `[MASK]` hidden state feeds the MLM head, so
+    /// the forward takes the single-row last-layer path
+    /// (`forward_mask_row`) — bit-exact with slicing the full forward,
+    /// including its RNG draw count. The head ends in the verbalizer's
+    /// gather-sum ([`Verbalizer::match_probs`]); training keeps the
+    /// differentiable `class_probs`.
+    fn probs(
+        &self,
+        tape: &mut impl TapeExec,
+        pairs: &[&EncodedPair],
+        rng: &mut impl Rng,
+    ) -> Vec<f32> {
+        let mut rows = Vec::with_capacity(pairs.len());
+        for p in pairs {
+            rows.push(self.template.forward_mask_row(
+                tape,
+                &self.lm.store,
+                &self.lm.encoder,
+                &p.ids_a,
+                &p.ids_b,
+                self.prompt_rows.as_ref(),
+                rng,
+            ));
+        }
+        let stacked = tape.concat_rows(&rows);
+        let logits =
+            self.lm
+                .mlm
+                .logits_with_decoder(tape, &self.lm.store, stacked, &self.decoder_t);
+        self.verbalizer.match_probs(tape, logits)
+    }
+}
+
+/// [`Scorer::probs`] with optional cached prompt rows and the decoder
+/// transposed on the spot: the taped and tape-free runs of one chunk.
+#[cfg(test)]
 fn forward_probs_on(
     tape: &mut impl TapeExec,
     lm: &PretrainedLm,
@@ -36,29 +93,14 @@ fn forward_probs_on(
     pairs: &[&EncodedPair],
     rng: &mut impl Rng,
 ) -> Vec<f32> {
-    let mut rows = Vec::with_capacity(pairs.len());
-    for p in pairs {
-        rows.push(template.forward_mask_row(
-            tape,
-            &lm.store,
-            &lm.encoder,
-            &p.ids_a,
-            &p.ids_b,
-            cached_rows,
-            rng,
-        ));
-    }
-    let stacked = tape.concat_rows(&rows);
-    let logits = lm.mlm.logits(tape, &lm.store, &lm.encoder, stacked);
-    let probs = verbalizer.class_probs(tape, logits);
-    let pm = tape.value(probs);
-    (0..pm.rows())
-        .map(|r| {
-            let yes = pm.get(r, 0);
-            let no = pm.get(r, 1);
-            yes / (yes + no).max(1e-12)
-        })
-        .collect()
+    let scorer = Scorer {
+        lm,
+        template,
+        verbalizer,
+        prompt_rows: cached_rows.cloned(),
+        decoder_t: MlmHead::decoder_t(&lm.store, &lm.encoder),
+    };
+    scorer.probs(tape, pairs, rng)
 }
 
 /// Prompt-side options (template/mode/label words — the knobs of §5.5).
@@ -150,7 +192,7 @@ impl PromptEmModel {
     }
 
     /// RNG values one train-mode scoring pass over `chunk` consumes — the
-    /// analytic mirror of what [`forward_probs_on`] draws (dropout masks
+    /// analytic mirror of what [`Scorer::probs`] draws (dropout masks
     /// only; the prompt stack and MLM head are RNG-free). Lets the parallel
     /// scorer fast-forward worker streams instead of replaying forwards.
     fn chunk_draws(&self, chunk: &[EncodedPair]) -> u64 {
@@ -399,15 +441,13 @@ impl TunableMatcher for PromptEmModel {
         // per-worker RNGs. Values are bit-identical to a sequential run —
         // every row-wise kernel computes each output row independently, so
         // neither chunking nor worker assignment changes a bit.
-        let cached_rows = self.template.prompt_rows_matrix(&self.lm.store);
-        let cached = cached_rows.as_ref();
+        let scorer = Scorer::new(&self.lm, &self.template, &self.verbalizer);
         let chunks: Vec<&[EncodedPair]> = pairs.chunks(SCORE_CHUNK).collect();
-        let (lm, template, verbalizer) = (&self.lm, &self.template, &self.verbalizer);
         em_pool::run_sharded(em_pool::threads(), chunks.len(), |i| {
             let refs: Vec<&EncodedPair> = chunks[i].iter().collect();
             let mut tape = NoGradTape::inference();
             let mut rng = StdRng::seed_from_u64(0);
-            forward_probs_on(&mut tape, lm, template, verbalizer, cached, &refs, &mut rng)
+            scorer.probs(&mut tape, &refs, &mut rng)
         })
         .into_iter()
         .flatten()
@@ -424,8 +464,7 @@ impl TunableMatcher for PromptEmModel {
         // any drift between formula and kernels aborts instead of silently
         // changing pseudo-label decisions. Sharding lives *inside* each
         // pass so the per-pass spans emitted by run_passes stay honest.
-        let cached_rows = self.template.prompt_rows_matrix(&self.lm.store);
-        let cached = cached_rows.as_ref();
+        let scorer = Scorer::new(&self.lm, &self.template, &self.verbalizer);
         let chunks: Vec<&[EncodedPair]> = pairs.chunks(SCORE_CHUNK).collect();
         let threads = em_pool::threads();
         let boundaries: Vec<u64> = if threads > 1 {
@@ -433,7 +472,6 @@ impl TunableMatcher for PromptEmModel {
         } else {
             Vec::new()
         };
-        let (lm, template, verbalizer) = (&self.lm, &self.template, &self.verbalizer);
         let rng = &mut self.rng;
         em_lm::mc_dropout::run_passes(passes, |_| {
             if threads <= 1 || chunks.len() <= 1 {
@@ -441,9 +479,7 @@ impl TunableMatcher for PromptEmModel {
                 for chunk in &chunks {
                     let refs: Vec<&EncodedPair> = chunk.iter().collect();
                     let mut tape = NoGradTape::new(); // dropout active
-                    out.extend(forward_probs_on(
-                        &mut tape, lm, template, verbalizer, cached, &refs, rng,
-                    ));
+                    out.extend(scorer.probs(&mut tape, &refs, rng));
                 }
                 return out;
             }
@@ -461,9 +497,7 @@ impl TunableMatcher for PromptEmModel {
                 let refs: Vec<&EncodedPair> = chunks[i].iter().collect();
                 let mut wrng = StdRng::from_state(states[i]);
                 let mut tape = NoGradTape::new();
-                let probs = forward_probs_on(
-                    &mut tape, lm, template, verbalizer, cached, &refs, &mut wrng,
-                );
+                let probs = scorer.probs(&mut tape, &refs, &mut wrng);
                 (probs, wrng.state())
             });
             let mut out = Vec::with_capacity(pairs.len());
@@ -633,6 +667,57 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits(), "probs diverged: {x} vs {y}");
         }
         assert_eq!(rng_a.state(), rng_b.state(), "RNG streams diverged");
+    }
+
+    #[test]
+    fn cached_decoder_scoring_matches_the_per_chunk_head() {
+        let backbone = tiny_backbone();
+        let (train, _) = toy_examples(&backbone, 120, 12); // 90 pairs: 3 chunks
+        let model = PromptEmModel::new(backbone, PromptOpts::default(), 13);
+        let pairs: Vec<&EncodedPair> = train.iter().map(|e| &e.pair).collect();
+        let scorer = Scorer::new(&model.lm, &model.template, &model.verbalizer);
+        // The head as it ran before per-call caching: the tied decoder
+        // transposed on the tape and the dense class projection, per chunk.
+        let per_chunk = |tape: &mut NoGradTape, chunk: &[&EncodedPair], rng: &mut StdRng| {
+            let (lm, rows) = (&model.lm, scorer.prompt_rows.as_ref());
+            let hidden: Vec<_> = chunk
+                .iter()
+                .map(|p| {
+                    let (a, b) = (&p.ids_a, &p.ids_b);
+                    model
+                        .template
+                        .forward_mask_row(tape, &lm.store, &lm.encoder, a, b, rows, rng)
+                })
+                .collect();
+            let stacked = tape.concat_rows(&hidden);
+            let logits = lm.mlm.logits(tape, &lm.store, &lm.encoder, stacked);
+            let class = model.verbalizer.class_probs(tape, logits);
+            let pm = tape.value(class);
+            (0..pm.rows())
+                .map(|r| {
+                    let (yes, no) = (pm.get(r, 0), pm.get(r, 1));
+                    yes / (yes + no).max(1e-12)
+                })
+                .collect::<Vec<f32>>()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for train_mode in [false, true] {
+            let tape = || {
+                if train_mode {
+                    NoGradTape::new()
+                } else {
+                    NoGradTape::inference()
+                }
+            };
+            let mut rng_a = StdRng::seed_from_u64(21);
+            let mut rng_b = rng_a.clone();
+            for chunk in pairs.chunks(SCORE_CHUNK) {
+                let want = per_chunk(&mut tape(), chunk, &mut rng_a);
+                let got = scorer.probs(&mut tape(), chunk, &mut rng_b);
+                assert_eq!(bits(&want), bits(&got), "train mode {train_mode}");
+            }
+            assert_eq!(rng_a.state(), rng_b.state(), "RNG streams diverged");
+        }
     }
 
     #[test]

@@ -39,14 +39,42 @@ impl MlmHead {
         encoder: &Encoder,
         hidden: Var,
     ) -> Var {
-        let h = self.transform.forward(tape, store, hidden);
-        let h = tape.gelu(h);
-        let h = self.ln.forward(tape, store, h);
+        let h = self.transform_rows(tape, store, hidden);
         let table = encoder.tok_emb.table_var(tape, store); // (V, d)
         let table_t = tape.transpose(table); // (d, V)
         let scores = tape.matmul(h, table_t); // (n, V)
         let bias = tape.param(store, self.bias);
         tape.add_row_broadcast(scores, bias)
+    }
+
+    /// The tied decoder `E^T` `(d, V)` for [`MlmHead::logits_with_decoder`]:
+    /// transposed once, then shared by every forward of a scoring call.
+    pub fn decoder_t(store: &ParamStore, encoder: &Encoder) -> Matrix {
+        store.value(encoder.tok_emb.table).transpose()
+    }
+
+    /// [`MlmHead::logits`] against a decoder from [`MlmHead::decoder_t`]:
+    /// the same values bit for bit, without re-transposing the `(V, d)`
+    /// table on every call. Forward-only — no gradient reaches the
+    /// embeddings through `decoder_t`.
+    pub fn logits_with_decoder(
+        &self,
+        tape: &mut impl TapeExec,
+        store: &ParamStore,
+        hidden: Var,
+        decoder_t: &Matrix,
+    ) -> Var {
+        let h = self.transform_rows(tape, store, hidden);
+        let scores = tape.matmul_const(h, decoder_t); // (n, V)
+        let bias = tape.param(store, self.bias);
+        tape.add_row_broadcast(scores, bias)
+    }
+
+    /// `LayerNorm(gelu(h W))`: the hidden transform before the decoder.
+    fn transform_rows(&self, tape: &mut impl TapeExec, store: &ParamStore, hidden: Var) -> Var {
+        let h = self.transform.forward(tape, store, hidden);
+        let h = tape.gelu(h);
+        self.ln.forward(tape, store, h)
     }
 }
 
@@ -110,6 +138,19 @@ mod tests {
         let h = enc.forward(&mut tape, &store, &[2, 8, 9, 3], &mut rng);
         let logits = head.logits(&mut tape, &store, &enc, h);
         assert_eq!(tape.value(logits).shape(), (4, 40));
+    }
+
+    #[test]
+    fn cached_decoder_logits_are_bit_exact() {
+        let (store, enc, head, mut rng) = setup();
+        let mut tape = Tape::inference();
+        let h = enc.forward(&mut tape, &store, &[2, 8, 9, 3], &mut rng);
+        let per_call = head.logits(&mut tape, &store, &enc, h);
+        let decoder_t = MlmHead::decoder_t(&store, &enc);
+        let cached = head.logits_with_decoder(&mut tape, &store, h, &decoder_t);
+        let bits =
+            |v: Var| -> Vec<u32> { tape.value(v).data().iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(per_call), bits(cached));
     }
 
     #[test]

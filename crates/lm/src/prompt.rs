@@ -59,8 +59,8 @@ impl LabelWords {
     }
 }
 
-/// Resolved label words: vocabulary ids plus the constant projection matrix
-/// that averages word probabilities into class probabilities.
+/// Resolved label words: the vocabulary ids whose mean probability is each
+/// class's probability.
 #[derive(Debug, Clone)]
 pub struct Verbalizer {
     /// Vocabulary ids of the resolved "yes" words.
@@ -109,6 +109,37 @@ impl Verbalizer {
         }
         let mv = tape.constant(m);
         tape.matmul(probs, mv)
+    }
+
+    /// The match probability `P(yes) / (P(yes) + P(no))` per row of
+    /// `logits` `(n, V)`, for forward-only scoring. Equal bit for bit to
+    /// [`Verbalizer::class_probs`] followed by that ratio, without the
+    /// dense `(V, 2)` projection: each class mass is a gather-sum over
+    /// the class's ids in ascending order, each id once, weighted
+    /// `1 / ids.len()` (duplicates counted, as in the projection). Those
+    /// are exactly the nonzero terms the projection's matmul adds, in its
+    /// order; every other term is `p · 0 = +0.0`, which leaves a sum that
+    /// starts at `+0.0` unchanged.
+    pub fn match_probs(&self, tape: &mut impl TapeExec, logits: Var) -> Vec<f32> {
+        let probs = tape.softmax_rows(logits);
+        let pm = tape.value(probs);
+        let class = |ids: &[usize]| {
+            let mut unique = ids.to_vec();
+            unique.sort_unstable();
+            unique.dedup();
+            (unique, 1.0 / ids.len() as f32)
+        };
+        let (yes, yes_w) = class(&self.yes_ids);
+        let (no, no_w) = class(&self.no_ids);
+        (0..pm.rows())
+            .map(|r| {
+                let row = pm.row(r);
+                let mass =
+                    |ids: &[usize], w: f32| ids.iter().fold(0.0f32, |acc, &i| acc + row[i] * w);
+                let (yes, no) = (mass(&yes, yes_w), mass(&no, no_w));
+                yes / (yes + no).max(1e-12)
+            })
+            .collect()
     }
 }
 
@@ -551,6 +582,56 @@ mod tests {
         assert_eq!(pm.shape(), (1, 2));
         assert!(pm.get(0, 0) > 0.0 && pm.get(0, 1) > 0.0);
         assert!(pm.get(0, 0) + pm.get(0, 1) <= 1.0 + 1e-5);
+    }
+
+    #[test]
+    fn gather_verbalizer_is_bit_exact_with_class_probs() {
+        let (_, _, tok, mut rng) = setup();
+        let words = |yes: &[&str], no: &[&str]| LabelWords {
+            yes: yes.iter().map(|w| w.to_string()).collect(),
+            no: no.iter().map(|w| w.to_string()).collect(),
+        };
+        let verbalizers = [
+            LabelWords::designed(),
+            LabelWords::simple(),
+            // A duplicated id, and a word listed under both classes.
+            words(
+                &["relevant", "matched", "matched"],
+                &["similar", "different"],
+            ),
+            words(
+                &["similar", "matched"],
+                &["irrelevant", "similar", "similar"],
+            ),
+        ];
+        let vocab = tok.vocab_size();
+        // Wide logits so some rows underflow label-word probabilities to
+        // exactly zero: the `+0.0` terms the equality argument rests on.
+        let logits = Matrix::from_fn(24, vocab, |r, _| {
+            let spread = if r % 3 == 0 { 120.0 } else { 8.0 };
+            rng.gen_range(-spread..spread)
+        });
+        for label_words in &verbalizers {
+            let verb = Verbalizer::new(&tok, label_words);
+            let mut tape = Tape::inference();
+            let x = tape.constant(logits.clone());
+            let class = verb.class_probs(&mut tape, x);
+            let pm = tape.value(class).clone();
+            let want: Vec<u32> = (0..pm.rows())
+                .map(|r| {
+                    let (yes, no) = (pm.get(r, 0), pm.get(r, 1));
+                    (yes / (yes + no).max(1e-12)).to_bits()
+                })
+                .collect();
+            let mut free = NoGradTape::inference();
+            let x = free.constant(logits.clone());
+            let got: Vec<u32> = verb
+                .match_probs(&mut free, x)
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            assert_eq!(got, want, "{label_words:?}");
+        }
     }
 
     #[test]

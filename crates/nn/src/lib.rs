@@ -11,8 +11,9 @@
 //!   [`tape::Tape::param`] and their gradients are folded back into the
 //!   shared [`optim::ParamStore`] with
 //!   [`tape::Tape::accumulate_param_grads`];
-//! * everything is CPU-only `f32`; the matmul kernels autovectorize under
-//!   `-C target-cpu=native`;
+//! * everything is CPU-only `f32`; every matrix product runs one
+//!   register-blocked GEMM kernel ([`tensor`]) that autovectorizes under
+//!   `-C target-cpu=native` and is bit-identical to a plain ikj loop;
 //! * every op has a finite-difference gradient test (see `tape::tests`).
 
 #![warn(missing_docs)]

@@ -1474,6 +1474,11 @@ pub trait TapeExec {
     fn value(&self, v: Var) -> &Matrix;
     /// Matrix product `a @ b`.
     fn matmul(&mut self, a: Var, b: Var) -> Var;
+    /// Matrix product `a @ k` with a borrowed constant right operand (no
+    /// gradient to `k`). The tape-free executor multiplies against `k`
+    /// directly, so a large operand shared by many forwards (the scoring
+    /// head's transposed tied decoder) is never copied into the tape.
+    fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var;
     /// Elementwise sum (same shapes).
     fn add(&mut self, a: Var, b: Var) -> Var;
     /// `a + b` where `b` is a (1,C) row broadcast over the rows of `a`.
@@ -1532,6 +1537,10 @@ impl TapeExec for Tape {
     }
     fn matmul(&mut self, a: Var, b: Var) -> Var {
         Tape::matmul(self, a, b)
+    }
+    fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var {
+        let k = Tape::constant(self, k.clone());
+        Tape::matmul(self, a, k)
     }
     fn add(&mut self, a: Var, b: Var) -> Var {
         Tape::add(self, a, b)
@@ -1682,6 +1691,12 @@ impl TapeExec for NoGradTape {
     fn matmul(&mut self, a: Var, b: Var) -> Var {
         let prof = OpTimer::start();
         let value = self.slots[a.0].matmul(&self.slots[b.0]);
+        self.push(prof, op_idx::MATMUL, value)
+    }
+
+    fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var {
+        let prof = OpTimer::start();
+        let value = self.slots[a.0].matmul(k);
         self.push(prof, op_idx::MATMUL, value)
     }
 
@@ -2340,7 +2355,9 @@ mod tests {
         let diff = exec.sub(sum, m);
         let k = Matrix::full(3, 4, 0.25);
         let shifted = exec.add_const(diff, &k);
-        let picked = exec.gather_rows(shifted, &[2, 0, 1, 2]);
+        let mix = Matrix::from_fn(4, 4, |r, c| (r as f32 - c as f32) * 0.3);
+        let mixed = exec.matmul_const(shifted, &mix);
+        let picked = exec.gather_rows(mixed, &[2, 0, 1, 2]);
         let top = exec.slice_rows(picked, 0, 2);
         let left = exec.slice_cols(top, 0, 2);
         let right = exec.slice_cols(top, 2, 2);

@@ -1,6 +1,8 @@
 //! Dense row-major `f32` matrix with the handful of BLAS-like kernels the
-//! autograd tape needs. Everything is CPU-only and single-threaded; the
-//! matmul is written so LLVM autovectorizes the inner loop.
+//! autograd tape needs. Everything is CPU-only and single-threaded. All
+//! three products (`matmul`, `matmul_tn`, `matmul_nt`) run one
+//! register-blocked GEMM kernel whose accumulation order is fixed, so its
+//! output is bit-identical to the plain ikj loop it replaced.
 
 use std::fmt;
 
@@ -158,8 +160,7 @@ impl Matrix {
         self.data[0]
     }
 
-    /// `self @ other` — the classic ikj loop; the innermost loop is a
-    /// contiguous axpy which LLVM turns into SIMD with `target-cpu=native`.
+    /// `self @ other` through the register-blocked `gemm` kernel.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols,
@@ -169,28 +170,14 @@ impl Matrix {
             other.shape()
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
         Matrix {
             rows: m,
             cols: n,
-            data: out,
+            data: gemm(&self.data, &other.data, m, k, n),
         }
     }
 
-    /// `self^T @ other` without materializing the transpose.
+    /// `self^T @ other`: packs `self^T` row-major, then runs `gemm`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows,
@@ -200,29 +187,14 @@ impl Matrix {
             other.shape()
         );
         let (m, k, n) = (self.cols, self.rows, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        // out[i][j] = sum_p self[p][i] * other[p][j]
-        for p in 0..k {
-            let arow = &self.data[p * m..(p + 1) * m];
-            let brow = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
         Matrix {
             rows: m,
             cols: n,
-            data: out,
+            data: gemm(&self.transpose().data, &other.data, m, k, n),
         }
     }
 
-    /// `self @ other^T` without materializing the transpose.
+    /// `self @ other^T`: packs `other^T` row-major, then runs `gemm`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols,
@@ -232,22 +204,10 @@ impl Matrix {
             other.shape()
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in arow.iter().zip(brow.iter()) {
-                    acc += a * b;
-                }
-                out[i * n + j] = acc;
-            }
-        }
         Matrix {
             rows: m,
             cols: n,
-            data: out,
+            data: gemm(&self.data, &other.transpose().data, m, k, n),
         }
     }
 
@@ -490,9 +450,204 @@ pub fn log_sum_exp(row: &[f32]) -> f32 {
     max + s.ln()
 }
 
+/// Output rows per register tile.
+const MR: usize = 4;
+/// Output columns per register tile: two 8-lane AVX2 vectors.
+const NR: usize = 16;
+
+/// `a (m×k) @ b (k×n)`, both row-major: the one kernel behind every
+/// matrix product. Output is tiled `MR × NR`; each tile's accumulators
+/// stay in registers while `p` runs over `0..k` in ascending order with
+/// a separately rounded `acc + a·b` per step — exactly the sum the plain
+/// ikj loop formed, so the result is bit-identical to it on finite
+/// inputs (DESIGN §15).
+fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    if m == 0 || k == 0 || n == 0 {
+        return out;
+    }
+    // The column tail, zero-padded to a full-width panel so it runs the
+    // same kernel; its padding columns are computed and discarded.
+    let tail = n % NR;
+    let mut padded = Vec::new();
+    if tail > 0 {
+        padded = vec![0.0f32; k * NR];
+        for (dst, src) in padded.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+            dst[..tail].copy_from_slice(&src[n - tail..]);
+        }
+    }
+    for j0 in (0..n).step_by(NR) {
+        let width = NR.min(n - j0);
+        let (panel, ldb) = if width == NR {
+            (&b[j0..], n)
+        } else {
+            (&padded[..], NR)
+        };
+        let mut store = |i0: usize, acc: &[[f32; NR]]| {
+            for (r, acc_row) in acc.iter().enumerate() {
+                let at = (i0 + r) * n + j0;
+                out[at..at + width].copy_from_slice(&acc_row[..width]);
+            }
+        };
+        let mut i0 = 0;
+        for rows in a.chunks_exact(MR * k) {
+            store(i0, &tile::<MR>(rows, k, panel, ldb));
+            i0 += MR;
+        }
+        // MR = 4 leaves a remainder of at most three rows.
+        let rest = &a[i0 * k..];
+        match m - i0 {
+            0 => {}
+            1 => store(i0, &tile::<1>(rest, k, panel, ldb)),
+            2 => store(i0, &tile::<2>(rest, k, panel, ldb)),
+            _ => store(i0, &tile::<3>(rest, k, panel, ldb)),
+        }
+    }
+    out
+}
+
+/// One `R × NR` output tile: `acc[r][c] = Σ_p rows[r][p] · panel[p][c]`
+/// over `p` ascending, where `rows` holds `R` row-major rows of length
+/// `k` and `panel` row `p` starts at `p * ldb`. The loop-nest shape
+/// (pre-sliced rows, the `a` column gathered into an array, loops over
+/// fixed-size arrays) is what lets LLVM keep `acc` in registers;
+/// indexing `rows` directly per step spills it to memory.
+#[inline(always)]
+fn tile<const R: usize>(rows: &[f32], k: usize, panel: &[f32], ldb: usize) -> [[f32; NR]; R] {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+    let mut acc = [[0.0f32; NR]; R];
+    for p in 0..k {
+        let mut brow = [0.0f32; NR];
+        brow.copy_from_slice(&panel[p * ldb..p * ldb + NR]);
+        let acol: [f32; R] = std::array::from_fn(|r| arows[r][p]);
+        for (acc_row, &av) in acc.iter_mut().zip(&acol) {
+            for (o, &bv) in acc_row.iter_mut().zip(&brow) {
+                *o += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+/// The plain loops [`gemm`] replaced, kept as the bit-exactness oracle.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::Matrix;
+
+    /// `a @ b`: the ikj loop, skipping zero `a` terms.
+    pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.cols);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let arow = &a.data[i * k..(i + 1) * k];
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (p, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &b.data[p * n..(p + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Matrix::from_vec(m, n, out)
+    }
+
+    /// `a^T @ b`: the pki loop, skipping zero `a` terms.
+    pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.cols, a.rows, b.cols);
+        let mut out = vec![0.0f32; m * n];
+        for p in 0..k {
+            let arow = &a.data[p * m..(p + 1) * m];
+            let brow = &b.data[p * n..(p + 1) * n];
+            for (i, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let orow = &mut out[i * n..(i + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Matrix::from_vec(m, n, out)
+    }
+
+    /// `a @ b^T`: one dot product per output element.
+    pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let arow = &a.data[i * k..(i + 1) * k];
+            for j in 0..n {
+                let brow = &b.data[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                    acc += av * bv;
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        Matrix::from_vec(m, n, out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Values in `[-2, 2)` with about a quarter exact zeros (both signs),
+    /// so the oracle's zero skip is exercised on both operands.
+    fn gemm_operand(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+        proptest::collection::vec((0u8..8, -2.0f32..2.0), rows * cols).prop_map(move |cells| {
+            let data = cells
+                .into_iter()
+                .map(|(kind, v)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => v,
+                })
+                .collect();
+            Matrix::from_vec(rows, cols, data)
+        })
+    }
+
+    /// Shapes spanning 1..=70 per dimension: rows below and across the
+    /// tile height, columns below, at, and off multiples of the tile
+    /// width, and `k = 1`.
+    fn gemm_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+        (0u8..4, 1usize..71, 1usize..71, 1usize..71).prop_map(|(kind, m, k, n)| match kind {
+            0 => (m % MR + 1, k, n),
+            1 => (m, 1, n),
+            2 => (m, k, n % NR + 1),
+            _ => (m, k, n),
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn gemm_kernels_match_the_oracle_bit_for_bit(
+            (m, k, n) in gemm_shape(),
+            seed in 0u32..u32::MAX,
+        ) {
+            let mut rng = proptest::test_runner::TestRng::for_case("gemm_operands", seed);
+            let a = gemm_operand(m, k).generate(&mut rng);
+            let b = gemm_operand(k, n).generate(&mut rng);
+            let at = gemm_operand(k, m).generate(&mut rng);
+            let bt = gemm_operand(n, k).generate(&mut rng);
+            prop_assert_eq!(bits(&a.matmul(&b)), bits(&oracle::matmul(&a, &b)));
+            prop_assert_eq!(bits(&at.matmul_tn(&b)), bits(&oracle::matmul_tn(&at, &b)));
+            prop_assert_eq!(bits(&a.matmul_nt(&bt)), bits(&oracle::matmul_nt(&a, &bt)));
+        }
+    }
 
     #[test]
     fn matmul_matches_by_hand() {
