@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the substrates: serialization, TF-IDF
-//! summarization, tokenization, matmul kernels, encoder forward, MC-Dropout
-//! passes, MC-EL2N scoring and one RWR power-iteration step.
+//! summarization, tokenization, matmul kernels, the GELU and softmax
+//! kernels, encoder forward, MC-Dropout passes, MC-EL2N scoring and one RWR
+//! power-iteration step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use em_data::serialize::serialize;
@@ -88,6 +89,20 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
+/// The elementwise kernels at one encoder layer's shapes under
+/// `LmConfig::tiny` at sequence length 40: GELU over the 40×64 FFN hidden
+/// layer, and the row softmax of one attention head's 40×40 scores.
+fn bench_elementwise(c: &mut Criterion) {
+    let hidden = operand(40, 64, 6);
+    c.bench_function("gelu_40x64", |b| {
+        b.iter(|| black_box(black_box(&hidden).map(em_nn::tape::gelu)))
+    });
+    let scores = operand(40, 40, 7);
+    c.bench_function("softmax_rows_40x40", |b| {
+        b.iter(|| black_box(black_box(&scores).softmax_rows()))
+    });
+}
+
 fn bench_encoder_forward(c: &mut Criterion) {
     let lm = tiny_lm();
     let ids: Vec<usize> = (0..40).map(|i| 8 + i % 30).collect();
@@ -152,6 +167,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_serialize, bench_summarize, bench_tokenize, bench_matmul,
-              bench_encoder_forward, bench_train_step, bench_rwr_step
+              bench_elementwise, bench_encoder_forward, bench_train_step, bench_rwr_step
 }
 criterion_main!(benches);

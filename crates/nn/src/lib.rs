@@ -14,6 +14,9 @@
 //! * everything is CPU-only `f32`; every matrix product runs one
 //!   register-blocked GEMM kernel ([`tensor`]) that autovectorizes under
 //!   `-C target-cpu=native` and is bit-identical to a plain ikj loop;
+//! * `tanh`, `sigmoid`, GELU and softmax run the branch-free [`mathf`]
+//!   ports of glibc's `tanhf`/`expf`, which vectorize and return the
+//!   library's bits;
 //! * every op has a finite-difference gradient test (see `tape::tests`).
 
 #![warn(missing_docs)]
@@ -21,6 +24,7 @@
 pub mod init;
 pub mod io;
 pub mod layers;
+pub mod mathf;
 pub mod opstats;
 pub mod optim;
 pub mod schedule;

@@ -9,6 +9,7 @@
 //! leaf so a parameter used by many samples in one batch is materialized only
 //! once.
 
+use crate::mathf;
 use crate::optim::{ParamId, ParamStore};
 use crate::tensor::Matrix;
 use std::collections::HashMap;
@@ -713,14 +714,14 @@ impl Tape {
     /// Elementwise `tanh`.
     pub fn tanh(&mut self, a: Var) -> Var {
         let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(f32::tanh);
+        let value = self.nodes[a.0].value.map(mathf::tanh);
         self.push_timed(prof, value, Op::Tanh(a))
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + mathf::exp(-x)));
         self.push_timed(prof, value, Op::Sigmoid(a))
     }
 
@@ -1229,9 +1230,8 @@ impl Tape {
             }
             Op::Gelu(a) => {
                 let x = &self.nodes[a.0].value;
-                let da = Matrix::from_fn(x.rows(), x.cols(), |r, c| {
-                    g.get(r, c) * gelu_dx(x.get(r, c))
-                });
+                let data = x.data().iter().zip(g.data()).map(|(&x, &g)| g * gelu_dx(x));
+                let da = Matrix::from_vec(x.rows(), x.cols(), data.collect());
                 self.add_grad(*a, da);
             }
             Op::Relu(a) => {
@@ -1752,13 +1752,13 @@ impl TapeExec for NoGradTape {
 
     fn tanh(&mut self, a: Var) -> Var {
         let prof = OpTimer::start();
-        let value = self.slots[a.0].map(f32::tanh);
+        let value = self.slots[a.0].map(mathf::tanh);
         self.push(prof, op_idx::TANH, value)
     }
 
     fn sigmoid(&mut self, a: Var) -> Var {
         let prof = OpTimer::start();
-        let value = self.slots[a.0].map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.slots[a.0].map(|x| 1.0 / (1.0 + mathf::exp(-x)));
         self.push(prof, op_idx::SIGMOID, value)
     }
 
@@ -1875,20 +1875,21 @@ impl TapeExec for NoGradTape {
     }
 }
 
-/// Exact GELU via erf approximation (tanh form, as used by BERT/RoBERTa).
-#[inline]
+/// GELU in its tanh approximation (as used by BERT/RoBERTa), not the
+/// exact erf form: `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
+#[inline(always)]
 pub fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + mathf::tanh(C * (x + 0.044715 * x * x * x)))
 }
 
 /// Derivative of the tanh-form GELU.
-#[inline]
+#[inline(always)]
 pub fn gelu_dx(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
+    let t = mathf::tanh(inner);
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
 }

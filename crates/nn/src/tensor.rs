@@ -4,6 +4,7 @@
 //! register-blocked GEMM kernel whose accumulation order is fixed, so its
 //! output is bit-identical to the plain ikj loop it replaced.
 
+use crate::mathf;
 use std::fmt;
 
 /// A dense row-major matrix of `f32`.
@@ -426,28 +427,22 @@ impl Matrix {
     }
 }
 
-/// Numerically stable in-place softmax over a slice.
+/// Numerically stable in-place softmax over a slice. The `exp` pass is
+/// branch-free and vectorizes. The sum stays one sequential ascending
+/// loop: that order fixes the result's bits.
 pub fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
     for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+        *v = mathf::exp(*v - max);
+    }
+    let mut sum = 0.0f32;
+    for &v in row.iter() {
+        sum += v;
     }
     let inv = 1.0 / sum;
     for v in row.iter_mut() {
         *v *= inv;
     }
-}
-
-/// Numerically stable log-sum-exp of a slice.
-pub fn log_sum_exp(row: &[f32]) -> f32 {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if !max.is_finite() {
-        return max;
-    }
-    let s: f32 = row.iter().map(|v| (v - max).exp()).sum();
-    max + s.ln()
 }
 
 /// Output rows per register tile.
@@ -529,10 +524,25 @@ fn tile<const R: usize>(rows: &[f32], k: usize, panel: &[f32], ldb: usize) -> [[
     acc
 }
 
-/// The plain loops [`gemm`] replaced, kept as the bit-exactness oracle.
+/// The plain loops [`gemm`] and [`softmax_in_place`] replaced, kept as
+/// bit-exactness oracles.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::Matrix;
+
+    /// Softmax in one loop over libm `exp`, summing as it goes.
+    pub fn softmax_in_place(row: &mut [f32]) {
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
 
     /// `a @ b`: the ikj loop, skipping zero `a` terms.
     pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -702,6 +712,33 @@ mod tests {
     }
 
     #[test]
+    fn softmax_matches_the_single_loop_oracle_bit_for_bit() {
+        let wide: Vec<f32> = (0..37)
+            .map(|i| ((i * 29 % 41) as f32 * 0.37).sin() * 6.0)
+            .collect();
+        let rows: [&[f32]; 6] = [
+            // Attention rows with -1e9 mask columns.
+            &[0.3, -1e9, 1.7, -1e9, -0.2],
+            &[-1e9, 2.0, -1e9],
+            // Ties at the max.
+            &[2.5, -1.0, 2.5, 2.5, 0.75],
+            &[-7.25],
+            // Scores whose exp is subnormal, 2⁻¹⁴⁹ or +0.
+            &[0.0, -87.5, -90.0, -100.0, -103.5, -103.9, -104.5],
+            // Longer than a vector register, with a tail.
+            &wide,
+        ];
+        for row in rows {
+            let mut got = row.to_vec();
+            softmax_in_place(&mut got);
+            let mut want = row.to_vec();
+            oracle::softmax_in_place(&mut want);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "row {row:?}");
+        }
+    }
+
+    #[test]
     fn stack_and_slice_roundtrip() {
         let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
         let b = Matrix::from_fn(1, 3, |_, c| 100.0 + c as f32);
@@ -731,13 +768,6 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let m = a.mean_rows();
         assert_eq!(m.data(), &[2., 3.]);
-    }
-
-    #[test]
-    fn log_sum_exp_stable() {
-        let v = [1000.0f32, 1000.0, 1000.0];
-        let lse = log_sum_exp(&v);
-        assert!((lse - (1000.0 + 3.0f32.ln())).abs() < 1e-3);
     }
 
     #[test]

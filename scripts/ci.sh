@@ -27,6 +27,9 @@ cargo test --release -q -p em-check --test sched_selftest
 PROMPTEM_SCHED_SEEDS=64 cargo test --release -q -p em-nn --test sched_opstats
 PROMPTEM_SCHED_SEEDS=64 cargo test --release -q -p promptem --test sched_pool
 
+echo "==> mathf libm parity (tanh and exp vs the host libm on all 2^32 inputs, 2 threads)"
+cargo test --release -q -p em-nn --lib mathf -- --ignored --nocapture
+
 echo "==> sanitizer smoke (PROMPTEM_SANITIZE=1 tiny pipeline)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
