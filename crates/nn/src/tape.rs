@@ -2416,6 +2416,47 @@ mod tests {
     }
 
     #[test]
+    fn recorded_forward_and_backward_keep_their_golden_bits() {
+        use rand::SeedableRng;
+        let mut store = ParamStore::new();
+        let w = store.register(
+            "w",
+            Matrix::from_fn(4, 4, |r, c| (r as f32 - 1.5) * 0.3 + c as f32 * 0.11 - 0.2),
+        );
+        let mut tape = Tape::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let y = exercise_all_ops(&mut tape, &store, w, &mut rng);
+        // `x` is the first leaf on the fresh tape and `out` its last node.
+        let (x, out) = (Var(0), Var(tape.len() - 1));
+        assert_eq!(tape.value(out), &y);
+        let loss = tape.mean_all(out);
+        tape.backward(loss);
+        tape.accumulate_param_grads(&mut store);
+
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        // Recorded from the build that introduced this pin; any kernel or
+        // executor change that moves one output or gradient bit fails here.
+        assert_eq!(bits(&y), GOLDEN_OUT, "forward output");
+        assert_eq!(bits(&tape.grad(x)), GOLDEN_GRAD_X, "grad(x)");
+        assert_eq!(bits(store.grad(w)), GOLDEN_GRAD_W, "accumulated grad(w)");
+    }
+
+    const GOLDEN_OUT: [u32; 20] = [
+        0x3f7ced37, 0x3ede3668, 0xbdf5b674, 0xbf2c88d2, 0x3f3f647a, 0x3e4926ee, 0xbeb5a206,
+        0xbf67ebc2, 0x3f7ced37, 0x3ede3668, 0xbdf5b674, 0xbf2c88d2, 0x3f3f647a, 0x3e4926ee,
+        0xbeb5a206, 0xbf67ebc2, 0x3f5e28d8, 0x3ea164f0, 0xbe730fa3, 0xbf4a3a4a,
+    ];
+    const GOLDEN_GRAD_X: [u32; 12] = [
+        0x3e193388, 0x3e15fbef, 0x3e12c456, 0x3e0f8cc0, 0x00000000, 0x00000000, 0x00000000,
+        0x00000000, 0xbe2d4cfb, 0xbe1b74b4, 0xbe099c69, 0xbdef883c,
+    ];
+    const GOLDEN_GRAD_W: [u32; 16] = [
+        0xbe90dd13, 0x3f4e0042, 0x3da620ef, 0xbf0b5167, 0x3f24d334, 0xbe324801, 0xbe85fc4b,
+        0xbe541362, 0xbe2fe789, 0x3f156921, 0x3d379b38, 0xbed3a2a0, 0xbeeb0cd5, 0xbf87618a,
+        0x3e7760fa, 0x3f96dc98,
+    ];
+
+    #[test]
     fn nograd_op_indices_match_the_obs_registry() {
         for (idx, name) in [
             (op_idx::LEAF, "leaf"),
