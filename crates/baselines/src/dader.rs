@@ -13,7 +13,7 @@ use crate::common::{MatchTask, Matcher};
 use em_data::pair::GemDataset;
 use em_lm::tokenizer::{CLS, SEP};
 use em_nn::layers::Mlp;
-use em_nn::{AdamW, Tape, Var};
+use em_nn::{AdamW, Tape, TapeExec, Var};
 use promptem::encode::{encode_dataset, EncodeCfg, EncodedPair, Example};
 use promptem::trainer::{calibrate_threshold, TrainCfg, TunableMatcher};
 use promptem::FineTuneModel;

@@ -7,7 +7,7 @@
 
 use crate::common::{MatchTask, Matcher};
 use em_nn::layers::{BiLstm, Embedding, Mlp};
-use em_nn::{AdamW, ParamStore, Tape, Var};
+use em_nn::{AdamW, ParamStore, Tape, TapeExec, Var};
 use promptem::encode::{EncodedPair, Example};
 use promptem::model::run_training;
 use promptem::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};

@@ -7,7 +7,7 @@ use crate::common::{MatchTask, Matcher};
 use em_lm::tokenizer::{CLS, SEP};
 use em_lm::PretrainedLm;
 use em_nn::layers::Mlp;
-use em_nn::{AdamW, ParamStore, Tape, Var};
+use em_nn::{AdamW, ParamStore, Tape, TapeExec, Var};
 use promptem::encode::{EncodedPair, Example};
 use promptem::model::run_training;
 use promptem::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};

@@ -18,7 +18,7 @@ use crate::common::{MatchTask, Matcher};
 use em_data::blocking::record_tokens;
 use em_data::pair::GemDataset;
 use em_nn::layers::Mlp;
-use em_nn::{AdamW, Matrix, ParamStore, Tape};
+use em_nn::{AdamW, Matrix, ParamStore, Tape, TapeExec};
 use promptem::encode::EncodedPair;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -11,7 +11,7 @@ use em_data::corpus::{build_pretrain_corpus, CorpusCfg, RelationWords};
 use em_data::synth::{build, BenchmarkId, Scale};
 use em_lm::pretrain::{pretrain_mlm, PretrainCfg};
 use em_lm::{Encoder, LmConfig, MlmHead, PretrainedLm, Tokenizer};
-use em_nn::{ParamStore, Tape};
+use em_nn::{ParamStore, Tape, TapeExec};
 use promptem::encode::{encode_dataset, EncodeCfg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

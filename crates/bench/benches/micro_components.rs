@@ -8,7 +8,7 @@ use em_data::serialize::serialize;
 use em_data::summarize::TfIdf;
 use em_data::synth::{build, BenchmarkId, Scale};
 use em_lm::{LmConfig, PretrainCfg, PretrainedLm};
-use em_nn::{Matrix, Tape};
+use em_nn::{Matrix, Tape, TapeExec};
 use std::hint::black_box;
 
 fn bench_serialize(c: &mut Criterion) {

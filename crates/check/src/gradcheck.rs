@@ -5,7 +5,7 @@
 //! times (one ± pair per input element) for numeric derivatives, then
 //! compares element-wise under a relative tolerance sized for `f32`.
 
-use em_nn::{Matrix, Tape, Var};
+use em_nn::{Matrix, Tape, TapeExec, Var};
 
 /// Why a [`gradcheck`] failed.
 #[derive(Debug, Clone)]

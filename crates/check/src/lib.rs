@@ -24,7 +24,8 @@
 //!   `scripts/ci.sh` as a hard gate.
 //!
 //! The record-time shape validation half of the story lives in `em-nn`
-//! itself (`Tape::try_*` + [`em_nn::tape::TapeError`]), as does the
+//! itself (one check per [`em_nn::TapeExec`] op, panicking with an
+//! [`em_nn::tape::TapeError`] message), as does the
 //! `PROMPTEM_SANITIZE=1` NaN/Inf sanitizer — this crate supplies the
 //! passes that need whole-graph or whole-repo visibility.
 

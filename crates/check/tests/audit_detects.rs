@@ -4,7 +4,7 @@
 
 use em_check::audit::{audit, audit_and_report, Diag};
 use em_nn::tape::{sanitize_enabled, set_sanitize};
-use em_nn::{Matrix, ParamStore, Tape};
+use em_nn::{Matrix, ParamStore, Tape, TapeExec};
 use em_obs::EventKind;
 
 #[test]

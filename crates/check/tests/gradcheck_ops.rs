@@ -6,7 +6,7 @@
 //! tolerance is 1e-2 relative — sized for f32 central differences.
 
 use em_check::gradcheck;
-use em_nn::{Matrix, Tape, Var};
+use em_nn::{Matrix, Tape, TapeExec, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -233,7 +233,7 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<PretrainedLm, ModelReadError
 mod tests {
     use super::*;
     use crate::pretrain::PretrainCfg;
-    use em_nn::Tape;
+    use em_nn::{Tape, TapeExec};
 
     fn tiny_lm() -> PretrainedLm {
         let corpus: Vec<String> = (0..12)

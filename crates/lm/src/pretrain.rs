@@ -5,7 +5,7 @@
 use crate::encoder::Encoder;
 use crate::heads::MlmHead;
 use crate::tokenizer::{Tokenizer, CLS, MASK, SEP};
-use em_nn::{AdamW, ParamStore, Tape};
+use em_nn::{AdamW, ParamStore, Tape, TapeExec};
 use em_resilience::failpoint::{self, Action};
 use em_resilience::{
     wire, Checkpoint, ResilienceCtx, MAX_BAD_BATCH_RESTORES, MAX_CONSECUTIVE_BAD_BATCHES,

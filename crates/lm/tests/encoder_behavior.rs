@@ -2,7 +2,7 @@
 //! properties the PromptEM pipeline depends on, checked at the LM level.
 
 use em_lm::{LmConfig, PretrainCfg, PretrainedLm};
-use em_nn::Tape;
+use em_nn::{Tape, TapeExec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -3,7 +3,7 @@
 
 use em_lm::prompt::{LabelWords, PromptMode, PromptTemplate, TemplateId, Verbalizer};
 use em_lm::{Encoder, LmConfig, Tokenizer};
-use em_nn::{ParamStore, Tape};
+use em_nn::{ParamStore, Tape, TapeExec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -8,9 +8,12 @@
 //!
 //! Design notes:
 //! * one [`tape::Tape`] per mini-batch; parameters enter the tape once via
-//!   [`tape::Tape::param`] and their gradients are folded back into the
+//!   [`tape::TapeExec::param`] and their gradients are folded back into the
 //!   shared [`optim::ParamStore`] with
 //!   [`tape::Tape::accumulate_param_grads`];
+//! * each forward op is written once, in [`tape::TapeExec`], and shared by
+//!   the recording [`tape::Tape`] and the tape-free [`tape::NoGradTape`],
+//!   so training and scoring agree bit for bit by construction;
 //! * everything is CPU-only `f32`; every matrix product runs one
 //!   register-blocked GEMM kernel ([`tensor`]) that autovectorizes under
 //!   `-C target-cpu=native` and is bit-identical to a plain ikj loop;

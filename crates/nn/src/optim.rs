@@ -299,7 +299,7 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Tape;
+    use crate::tape::{Tape, TapeExec};
 
     /// Minimize mean((w - t)^2) and verify convergence for both optimizers.
     fn converges(mut step: impl FnMut(&mut ParamStore)) {

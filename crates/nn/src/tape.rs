@@ -5,13 +5,19 @@
 //! per-node gradients; [`Tape::accumulate_param_grads`] folds leaf gradients
 //! back into the shared [`ParamStore`](crate::optim::ParamStore).
 //!
-//! Model parameters enter the tape through [`Tape::param`], which caches the
-//! leaf so a parameter used by many samples in one batch is materialized only
-//! once.
+//! Each forward op is written once, as a provided method of [`TapeExec`]:
+//! it checks shapes, computes with a [`Matrix`] kernel and hands the value
+//! to the executor's recording hook. The recording [`Tape`] pushes a node
+//! with the op's payload; the tape-free [`NoGradTape`] only stores the
+//! value. The two executors agree bit for bit by construction.
+//!
+//! Model parameters enter the tape through [`TapeExec::param`], which caches
+//! the leaf so a parameter used by many samples in one batch is materialized
+//! only once.
 
 use crate::mathf;
 use crate::optim::{ParamId, ParamStore};
-use crate::tensor::Matrix;
+use crate::tensor::{dropout_mask_elem, layer_norm_stats, Matrix};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -31,10 +37,10 @@ impl Var {
 
 /// A structural defect caught while recording (or differentiating) a tape.
 ///
-/// Every shape constraint an op imposes is validated at record time and
-/// reported through this type, carrying the op name and the offending
-/// shapes, so callers and the `em-check` graph auditor get an actionable
-/// diagnostic instead of a bare `assert_eq!` abort.
+/// Every shape constraint an op imposes is checked once, at record time,
+/// for both executors. A violation panics with this type's rendering, which
+/// names the op and the offending shapes (e.g. "tape op `add`: incompatible
+/// shapes 2x3 vs 3x2"), instead of a bare `assert_eq!` abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TapeError {
     /// Two operand shapes are incompatible for `op`.
@@ -103,7 +109,54 @@ impl std::fmt::Display for TapeError {
     }
 }
 
-impl std::error::Error for TapeError {}
+/// Panic with `e`'s rendering. Every record-time check ends here, so a
+/// malformed call fails with the same message on either executor.
+fn reject(e: TapeError) -> ! {
+    panic!("{e}")
+}
+
+/// Record-time check for ops whose two operands must share one shape.
+fn check_same_shape(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) {
+    if lhs != rhs {
+        reject(TapeError::ShapeMismatch { op, lhs, rhs });
+    }
+}
+
+/// Record-time check for the product `lhs @ rhs`.
+fn check_matmul(lhs: (usize, usize), rhs: (usize, usize)) {
+    if lhs.1 != rhs.0 {
+        reject(TapeError::ShapeMismatch {
+            op: "matmul",
+            lhs,
+            rhs,
+        });
+    }
+}
+
+/// Record-time check for a concatenation: every part's `dim` must equal
+/// the first part's.
+fn check_concat(
+    op: &'static str,
+    mut shapes: impl Iterator<Item = (usize, usize)>,
+    dim: fn((usize, usize)) -> usize,
+) {
+    if let Some(lhs) = shapes.next() {
+        if let Some(rhs) = shapes.find(|&s| dim(s) != dim(lhs)) {
+            reject(TapeError::ShapeMismatch { op, lhs, rhs });
+        }
+    }
+}
+
+/// Record-time check that the slice `[.., end)` fits in `len`.
+fn check_slice(op: &'static str, end: usize, len: usize) {
+    if end > len {
+        reject(TapeError::IndexOutOfRange {
+            op,
+            index: end,
+            len,
+        });
+    }
+}
 
 /// Runtime switch for the NaN/Inf sanitizer (see [`sanitize_enabled`]).
 static SANITIZE_FORCE: AtomicBool = AtomicBool::new(false);
@@ -175,36 +228,6 @@ pub fn set_op_profile(on: bool) {
 static OP_TABLE: OpStatsTable<RelaxedWord, { em_obs::names::ALL_OP_NAMES.len() }> =
     OpStatsTable::new_relaxed();
 
-/// Forward-timing handle opened at recording-method entry when the
-/// profiler is on; [`Tape::push_timed`] closes it once the result exists.
-struct OpTimer {
-    sw: em_obs::Stopwatch,
-    bytes0: usize,
-}
-
-impl OpTimer {
-    #[inline]
-    fn start() -> Option<OpTimer> {
-        if !op_profile_enabled() {
-            return None;
-        }
-        Some(OpTimer {
-            sw: em_obs::Stopwatch::new(),
-            bytes0: em_obs::alloc::current_bytes(),
-        })
-    }
-
-    fn finish(self, op_idx: usize, elems: usize) {
-        let grown = em_obs::alloc::current_bytes().saturating_sub(self.bytes0);
-        OP_TABLE.record_fwd(
-            op_idx,
-            (self.sw.secs() * 1e9) as u64,
-            elems as u64,
-            grown as u64,
-        );
-    }
-}
-
 /// Drain the op-profiler table: emit one `op_stats` event per op with
 /// nonzero activity since the previous flush, then reset the counters.
 /// Call at a stage boundary while the owning span is still open so the
@@ -231,180 +254,496 @@ pub fn flush_op_stats() {
     }
 }
 
-enum Op {
-    /// Constant or parameter leaf. `param` is set when the leaf mirrors a
-    /// [`ParamStore`] entry and should receive gradient at the end.
-    Leaf,
-    Matmul(Var, Var),
-    Add(Var, Var),
-    /// `a (R,C) + broadcast of b (1,C)` over rows.
-    AddRowBroadcast(Var, Var),
-    Sub(Var, Var),
-    Mul(Var, Var),
-    Scale(Var, f32),
-    /// Adds a constant matrix (no gradient through the constant); used for
-    /// additive attention masks.
-    AddConst(Var),
-    /// Identity forward; backward multiplies the gradient by `-lambda`
-    /// (the gradient-reversal layer of DANN-style domain adaptation).
-    GradReverse(Var, f32),
-    Transpose(Var),
-    Tanh(Var),
-    Sigmoid(Var),
-    Gelu(Var),
-    Relu(Var),
-    /// Row-wise softmax; caches output for the backward pass.
-    SoftmaxRows(Var),
-    /// Layer normalization over each row with learnable gain/bias (1,C).
-    LayerNorm {
-        x: Var,
-        gamma: Var,
-        beta: Var,
-        normed: Matrix,
-        inv_std: Vec<f32>,
-    },
-    /// Select rows of `src` by index; backward scatter-adds.
-    GatherRows {
-        src: Var,
-        idx: Vec<usize>,
-    },
-    /// Inverted dropout; `mask` holds 0.0 or `1/(1-p)` per element.
-    Dropout {
-        x: Var,
-        mask: Matrix,
-    },
-    ConcatRows(Vec<Var>),
-    ConcatCols(Vec<Var>),
-    SliceRows {
-        x: Var,
-        start: usize,
-    },
-    SliceCols {
-        x: Var,
-        start: usize,
-    },
-    /// Mean over rows, producing (1,C).
-    MeanRows(Var),
-    /// Mean of every element, producing a scalar.
-    MeanAll(Var),
-    /// Fused softmax + negative log likelihood, mean over rows. Caches probs.
-    CrossEntropy {
-        logits: Var,
-        targets: Vec<usize>,
-        probs: Matrix,
-    },
-    /// Mean squared error against a constant target.
-    MseLoss {
-        pred: Var,
-        target: Matrix,
-    },
-    /// Mean negative log likelihood over rows of an already-normalized
-    /// probability matrix (used by verbalizer losses, where class
-    /// probabilities are averages of word probabilities — Eq. 1 of the
-    /// PromptEM paper).
-    NllProbs {
-        probs: Var,
-        targets: Vec<usize>,
-    },
+/// The executor hook behind [`TapeExec`]'s provided ops. The module is
+/// private, so its [`Record`](hook::Record) trait seals `TapeExec`: only
+/// [`Tape`] and [`NoGradTape`] implement it. `Op` and `OpTimer` are `pub`
+/// here because the hook's signature names them.
+mod hook {
+    use super::{op_profile_enabled, Var, OP_TABLE};
+    use crate::optim::ParamId;
+    use crate::tensor::Matrix;
+    use std::collections::HashMap;
+
+    /// Forward-timing handle opened at an op's entry when the profiler is
+    /// on; [`Record::record`] closes it once the result exists.
+    pub struct OpTimer {
+        sw: em_obs::Stopwatch,
+        bytes0: usize,
+    }
+
+    impl OpTimer {
+        /// A running timer, or `None` when the profiler is off.
+        #[inline]
+        pub fn start() -> Option<OpTimer> {
+            if !op_profile_enabled() {
+                return None;
+            }
+            Some(OpTimer {
+                sw: em_obs::Stopwatch::new(),
+                bytes0: em_obs::alloc::current_bytes(),
+            })
+        }
+
+        /// Add this op's wall time, output size and heap growth to `slot`
+        /// of the profiler table.
+        pub fn finish(self, slot: usize, elems: usize) {
+            let grown = em_obs::alloc::current_bytes().saturating_sub(self.bytes0);
+            OP_TABLE.record_fwd(
+                slot,
+                (self.sw.secs() * 1e9) as u64,
+                elems as u64,
+                grown as u64,
+            );
+        }
+    }
+
+    /// One recorded op: the vars it read and whatever its backward needs.
+    pub enum Op {
+        /// Constant or parameter leaf. Parameter leaves are the ones in the
+        /// executor's parameter cache; they receive gradient at the end.
+        Leaf,
+        Matmul(Var, Var),
+        Add(Var, Var),
+        /// `a (R,C) + broadcast of b (1,C)` over rows.
+        AddRowBroadcast(Var, Var),
+        Sub(Var, Var),
+        Mul(Var, Var),
+        Scale(Var, f32),
+        /// Adds a constant matrix (no gradient through the constant); used for
+        /// additive attention masks.
+        AddConst(Var),
+        /// Identity forward; backward multiplies the gradient by `-lambda`
+        /// (the gradient-reversal layer of DANN-style domain adaptation).
+        GradReverse(Var, f32),
+        Transpose(Var),
+        Tanh(Var),
+        Sigmoid(Var),
+        Gelu(Var),
+        Relu(Var),
+        /// Row-wise softmax; caches output for the backward pass.
+        SoftmaxRows(Var),
+        /// Layer normalization over each row with learnable gain/bias (1,C).
+        /// Backward recomputes the row statistics from `x`.
+        LayerNorm {
+            x: Var,
+            gamma: Var,
+            beta: Var,
+            eps: f32,
+        },
+        /// Select rows of `src` by index; backward scatter-adds.
+        GatherRows {
+            src: Var,
+            idx: Vec<usize>,
+        },
+        /// Inverted dropout; `mask` holds 0.0 or `1/(1-p)` per element.
+        Dropout {
+            x: Var,
+            mask: Matrix,
+        },
+        ConcatRows(Vec<Var>),
+        ConcatCols(Vec<Var>),
+        SliceRows {
+            x: Var,
+            start: usize,
+        },
+        SliceCols {
+            x: Var,
+            start: usize,
+        },
+        /// Mean over rows, producing (1,C).
+        MeanRows(Var),
+        /// Mean of every element, producing a scalar.
+        MeanAll(Var),
+        /// Fused softmax + negative log likelihood, mean over rows. Caches probs.
+        CrossEntropy {
+            logits: Var,
+            targets: Vec<usize>,
+            probs: Matrix,
+        },
+        /// Mean squared error against a constant target.
+        MseLoss {
+            pred: Var,
+            target: Matrix,
+        },
+        /// Mean negative log likelihood over rows of an already-normalized
+        /// probability matrix (used by verbalizer losses, where class
+        /// probabilities are averages of word probabilities — Eq. 1 of the
+        /// PromptEM paper).
+        NllProbs {
+            probs: Var,
+            targets: Vec<usize>,
+        },
+    }
+
+    impl Op {
+        /// Static name of the op, used by diagnostics and telemetry.
+        pub fn name(&self) -> &'static str {
+            match self {
+                Op::Leaf => "leaf",
+                Op::Matmul(..) => "matmul",
+                Op::Add(..) => "add",
+                Op::AddRowBroadcast(..) => "add_row_broadcast",
+                Op::Sub(..) => "sub",
+                Op::Mul(..) => "mul",
+                Op::Scale(..) => "scale",
+                Op::AddConst(..) => "add_const",
+                Op::GradReverse(..) => "grad_reverse",
+                Op::Transpose(..) => "transpose",
+                Op::Tanh(..) => "tanh",
+                Op::Sigmoid(..) => "sigmoid",
+                Op::Gelu(..) => "gelu",
+                Op::Relu(..) => "relu",
+                Op::SoftmaxRows(..) => "softmax_rows",
+                Op::LayerNorm { .. } => "layer_norm",
+                Op::GatherRows { .. } => "gather_rows",
+                Op::Dropout { .. } => "dropout",
+                Op::ConcatRows(..) => "concat_rows",
+                Op::ConcatCols(..) => "concat_cols",
+                Op::SliceRows { .. } => "slice_rows",
+                Op::SliceCols { .. } => "slice_cols",
+                Op::MeanRows(..) => "mean_rows",
+                Op::MeanAll(..) => "mean_all",
+                Op::CrossEntropy { .. } => "cross_entropy",
+                Op::MseLoss { .. } => "mse_loss",
+                Op::NllProbs { .. } => "nll_probs",
+            }
+        }
+
+        /// The op's slot in the profiler table — its position in
+        /// [`em_obs::names::ALL_OP_NAMES`] (a test pins the correspondence).
+        pub fn index(&self) -> usize {
+            match self {
+                Op::Leaf => 0,
+                Op::Matmul(..) => 1,
+                Op::Add(..) => 2,
+                Op::AddRowBroadcast(..) => 3,
+                Op::Sub(..) => 4,
+                Op::Mul(..) => 5,
+                Op::Scale(..) => 6,
+                Op::AddConst(..) => 7,
+                Op::GradReverse(..) => 8,
+                Op::Transpose(..) => 9,
+                Op::Tanh(..) => 10,
+                Op::Sigmoid(..) => 11,
+                Op::Gelu(..) => 12,
+                Op::Relu(..) => 13,
+                Op::SoftmaxRows(..) => 14,
+                Op::LayerNorm { .. } => 15,
+                Op::GatherRows { .. } => 16,
+                Op::Dropout { .. } => 17,
+                Op::ConcatRows(..) => 18,
+                Op::ConcatCols(..) => 19,
+                Op::SliceRows { .. } => 20,
+                Op::SliceCols { .. } => 21,
+                Op::MeanRows(..) => 22,
+                Op::MeanAll(..) => 23,
+                Op::CrossEntropy { .. } => 24,
+                Op::MseLoss { .. } => 25,
+                Op::NllProbs { .. } => 26,
+            }
+        }
+
+        /// The vars this op reads (its graph predecessors).
+        pub fn inputs(&self) -> Vec<Var> {
+            match self {
+                Op::Leaf => Vec::new(),
+                Op::Matmul(a, b)
+                | Op::Add(a, b)
+                | Op::AddRowBroadcast(a, b)
+                | Op::Sub(a, b)
+                | Op::Mul(a, b) => vec![*a, *b],
+                Op::Scale(a, _)
+                | Op::AddConst(a)
+                | Op::GradReverse(a, _)
+                | Op::Transpose(a)
+                | Op::Tanh(a)
+                | Op::Sigmoid(a)
+                | Op::Gelu(a)
+                | Op::Relu(a)
+                | Op::SoftmaxRows(a)
+                | Op::MeanRows(a)
+                | Op::MeanAll(a) => vec![*a],
+                Op::LayerNorm { x, gamma, beta, .. } => vec![*x, *gamma, *beta],
+                Op::GatherRows { src, .. } => vec![*src],
+                Op::Dropout { x, .. } => vec![*x],
+                Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.clone(),
+                Op::SliceRows { x, .. } | Op::SliceCols { x, .. } => vec![*x],
+                Op::CrossEntropy { logits, .. } => vec![*logits],
+                Op::MseLoss { pred, .. } => vec![*pred],
+                Op::NllProbs { probs, .. } => vec![*probs],
+            }
+        }
+    }
+
+    /// How an executor takes the result of one forward op.
+    pub trait Record {
+        /// Take `value`, the result of the op `op` describes, and return its
+        /// var; `timer` is the op's profiler handle. The recording tape
+        /// builds the op and keeps it for backward. The tape-free executor
+        /// builds it only under the profiler, to read its slot.
+        fn record(&mut self, timer: Option<OpTimer>, value: Matrix, op: impl FnOnce() -> Op)
+            -> Var;
+
+        /// The parameter leaves this executor holds, by parameter.
+        fn param_cache(&mut self) -> &mut HashMap<ParamId, Var>;
+    }
 }
 
-impl Op {
-    /// Static name of the op, used by diagnostics and telemetry.
-    fn name(&self) -> &'static str {
-        match self {
-            Op::Leaf => "leaf",
-            Op::Matmul(..) => "matmul",
-            Op::Add(..) => "add",
-            Op::AddRowBroadcast(..) => "add_row_broadcast",
-            Op::Sub(..) => "sub",
-            Op::Mul(..) => "mul",
-            Op::Scale(..) => "scale",
-            Op::AddConst(..) => "add_const",
-            Op::GradReverse(..) => "grad_reverse",
-            Op::Transpose(..) => "transpose",
-            Op::Tanh(..) => "tanh",
-            Op::Sigmoid(..) => "sigmoid",
-            Op::Gelu(..) => "gelu",
-            Op::Relu(..) => "relu",
-            Op::SoftmaxRows(..) => "softmax_rows",
-            Op::LayerNorm { .. } => "layer_norm",
-            Op::GatherRows { .. } => "gather_rows",
-            Op::Dropout { .. } => "dropout",
-            Op::ConcatRows(..) => "concat_rows",
-            Op::ConcatCols(..) => "concat_cols",
-            Op::SliceRows { .. } => "slice_rows",
-            Op::SliceCols { .. } => "slice_cols",
-            Op::MeanRows(..) => "mean_rows",
-            Op::MeanAll(..) => "mean_all",
-            Op::CrossEntropy { .. } => "cross_entropy",
-            Op::MseLoss { .. } => "mse_loss",
-            Op::NllProbs { .. } => "nll_probs",
-        }
+use hook::{Op, OpTimer, Record};
+
+/// The forward op surface shared by the recording [`Tape`] and the
+/// tape-free [`NoGradTape`].
+///
+/// Model forwards (`em-layers`, `mini-lm`, `em-core`) are generic over this
+/// trait, so one implementation of each layer serves both modes: training
+/// instantiates it with [`Tape`] (recording, differentiable), inference with
+/// [`NoGradTape`] (value-only, zero graph bookkeeping). Loss ops,
+/// `backward`, and the graph-topology accessors are deliberately *not* part
+/// of the trait — code that differentiates must name [`Tape`] concretely.
+///
+/// Each op is written once, as a provided method: one record-time shape
+/// check (a panic with the [`TapeError`] text), one [`Matrix`] kernel, and
+/// the executor's sealed recording hook. The executors therefore agree bit
+/// for bit by construction. Only [`TapeExec::dropout`] and
+/// [`TapeExec::matmul_const`] have a body per executor, because recording
+/// changes what they materialize (the mask; a leaf for the constant); both
+/// bodies call the same kernels, and both dropouts draw each element
+/// through one `tensor::dropout_mask_elem`, so they consume the RNG
+/// identically.
+pub trait TapeExec: Record {
+    /// True when dropout is active (a training-mode executor).
+    fn is_train(&self) -> bool;
+
+    /// Insert a constant leaf.
+    fn constant(&mut self, value: Matrix) -> Var {
+        let prof = OpTimer::start();
+        self.record(prof, value, || Op::Leaf)
     }
 
-    /// The op's slot in the profiler table — its position in
-    /// [`em_obs::names::ALL_OP_NAMES`] (a test pins the correspondence).
-    fn index(&self) -> usize {
-        match self {
-            Op::Leaf => 0,
-            Op::Matmul(..) => 1,
-            Op::Add(..) => 2,
-            Op::AddRowBroadcast(..) => 3,
-            Op::Sub(..) => 4,
-            Op::Mul(..) => 5,
-            Op::Scale(..) => 6,
-            Op::AddConst(..) => 7,
-            Op::GradReverse(..) => 8,
-            Op::Transpose(..) => 9,
-            Op::Tanh(..) => 10,
-            Op::Sigmoid(..) => 11,
-            Op::Gelu(..) => 12,
-            Op::Relu(..) => 13,
-            Op::SoftmaxRows(..) => 14,
-            Op::LayerNorm { .. } => 15,
-            Op::GatherRows { .. } => 16,
-            Op::Dropout { .. } => 17,
-            Op::ConcatRows(..) => 18,
-            Op::ConcatCols(..) => 19,
-            Op::SliceRows { .. } => 20,
-            Op::SliceCols { .. } => 21,
-            Op::MeanRows(..) => 22,
-            Op::MeanAll(..) => 23,
-            Op::CrossEntropy { .. } => 24,
-            Op::MseLoss { .. } => 25,
-            Op::NllProbs { .. } => 26,
+    /// Insert (or reuse) a leaf mirroring parameter `id` from `store`.
+    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        if let Some(&v) = self.param_cache().get(&id) {
+            return v;
         }
+        let prof = OpTimer::start();
+        let v = self.record(prof, store.value(id).clone(), || Op::Leaf);
+        self.param_cache().insert(id, v);
+        v
     }
 
-    /// The vars this op reads (its graph predecessors).
-    fn inputs(&self) -> Vec<Var> {
-        match self {
-            Op::Leaf => Vec::new(),
-            Op::Matmul(a, b)
-            | Op::Add(a, b)
-            | Op::AddRowBroadcast(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b) => vec![*a, *b],
-            Op::Scale(a, _)
-            | Op::AddConst(a)
-            | Op::GradReverse(a, _)
-            | Op::Transpose(a)
-            | Op::Tanh(a)
-            | Op::Sigmoid(a)
-            | Op::Gelu(a)
-            | Op::Relu(a)
-            | Op::SoftmaxRows(a)
-            | Op::MeanRows(a)
-            | Op::MeanAll(a) => vec![*a],
-            Op::LayerNorm { x, gamma, beta, .. } => vec![*x, *gamma, *beta],
-            Op::GatherRows { src, .. } => vec![*src],
-            Op::Dropout { x, .. } => vec![*x],
-            Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.clone(),
-            Op::SliceRows { x, .. } | Op::SliceCols { x, .. } => vec![*x],
-            Op::CrossEntropy { logits, .. } => vec![*logits],
-            Op::MseLoss { pred, .. } => vec![*pred],
-            Op::NllProbs { probs, .. } => vec![*probs],
+    /// The forward value of `v`.
+    fn value(&self, v: Var) -> &Matrix;
+
+    /// Matrix product `a @ b`.
+    fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (am, bm) = (self.value(a), self.value(b));
+        check_matmul(am.shape(), bm.shape());
+        let value = am.matmul(bm);
+        self.record(prof, value, || Op::Matmul(a, b))
+    }
+
+    /// Matrix product `a @ k` with a borrowed constant right operand (no
+    /// gradient to `k`). The tape-free executor multiplies against `k`
+    /// directly, so a large operand shared by many forwards (the scoring
+    /// head's transposed tied decoder) is never copied into the tape.
+    fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var;
+
+    /// Elementwise sum (same shapes).
+    fn add(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (am, bm) = (self.value(a), self.value(b));
+        check_same_shape("add", am.shape(), bm.shape());
+        let value = am.add(bm);
+        self.record(prof, value, || Op::Add(a, b))
+    }
+
+    /// `a + b` where `b` is a (1,C) row broadcast over the rows of `a`.
+    fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (am, bm) = (self.value(a), self.value(b));
+        if bm.rows() != 1 {
+            reject(TapeError::BadShape {
+                op: "add_row_broadcast",
+                got: bm.shape(),
+                want: "a (1,C) row vector",
+            });
         }
+        if am.cols() != bm.cols() {
+            reject(TapeError::ShapeMismatch {
+                op: "add_row_broadcast",
+                lhs: am.shape(),
+                rhs: bm.shape(),
+            });
+        }
+        let value = am.add_row_broadcast(bm);
+        self.record(prof, value, || Op::AddRowBroadcast(a, b))
+    }
+
+    /// Elementwise difference.
+    fn sub(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (am, bm) = (self.value(a), self.value(b));
+        check_same_shape("sub", am.shape(), bm.shape());
+        let value = am.sub(bm);
+        self.record(prof, value, || Op::Sub(a, b))
+    }
+
+    /// Elementwise (Hadamard) product.
+    fn mul(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (am, bm) = (self.value(a), self.value(b));
+        check_same_shape("mul", am.shape(), bm.shape());
+        let value = am.hadamard(bm);
+        self.record(prof, value, || Op::Mul(a, b))
+    }
+
+    /// Multiply every element by the constant `c`.
+    fn scale(&mut self, a: Var, c: f32) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(a).scale(c);
+        self.record(prof, value, || Op::Scale(a, c))
+    }
+
+    /// Add a constant matrix elementwise (no gradient to the constant).
+    fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
+        let prof = OpTimer::start();
+        let am = self.value(a);
+        check_same_shape("add_const", am.shape(), k.shape());
+        let value = am.add(k);
+        self.record(prof, value, || Op::AddConst(a))
+    }
+
+    /// Matrix transpose.
+    fn transpose(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(a).transpose();
+        self.record(prof, value, || Op::Transpose(a))
+    }
+
+    /// Elementwise `tanh`.
+    fn tanh(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(a).map(mathf::tanh);
+        self.record(prof, value, || Op::Tanh(a))
+    }
+
+    /// Elementwise logistic sigmoid.
+    fn sigmoid(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(a).map(|x| 1.0 / (1.0 + mathf::exp(-x)));
+        self.record(prof, value, || Op::Sigmoid(a))
+    }
+
+    /// Elementwise GELU (tanh approximation, as in BERT).
+    fn gelu(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(a).map(gelu);
+        self.record(prof, value, || Op::Gelu(a))
+    }
+
+    /// Elementwise ReLU.
+    fn relu(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(a).map(|x| x.max(0.0));
+        self.record(prof, value, || Op::Relu(a))
+    }
+
+    /// Row-wise softmax.
+    fn softmax_rows(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(a).softmax_rows();
+        self.record(prof, value, || Op::SoftmaxRows(a))
+    }
+
+    /// Row-wise layer normalization. `gamma` and `beta` must be (1,C).
+    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        let prof = OpTimer::start();
+        let xm = self.value(x);
+        for v in [gamma, beta] {
+            let shape = self.value(v).shape();
+            if shape != (1, xm.cols()) {
+                reject(TapeError::ShapeMismatch {
+                    op: "layer_norm",
+                    lhs: xm.shape(),
+                    rhs: shape,
+                });
+            }
+        }
+        let value = xm.layer_norm(self.value(gamma), self.value(beta), eps);
+        self.record(prof, value, || Op::LayerNorm {
+            x,
+            gamma,
+            beta,
+            eps,
+        })
+    }
+
+    /// Select rows of `src` by `idx` (duplicates allowed).
+    fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
+        let prof = OpTimer::start();
+        let sm = self.value(src);
+        if let Some(&bad) = idx.iter().find(|&&i| i >= sm.rows()) {
+            reject(TapeError::IndexOutOfRange {
+                op: "gather_rows",
+                index: bad,
+                len: sm.rows(),
+            });
+        }
+        let value = sm.gather_rows(idx);
+        self.record(prof, value, || Op::GatherRows {
+            src,
+            idx: idx.to_vec(),
+        })
+    }
+
+    /// Inverted dropout with keep-probability `1-p`. Identity when the
+    /// executor is in inference mode or `p == 0`.
+    fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var;
+
+    /// Stack vars vertically (equal column counts).
+    fn concat_rows(&mut self, parts: &[Var]) -> Var {
+        let prof = OpTimer::start();
+        let shapes = parts.iter().map(|&p| self.value(p).shape());
+        check_concat("concat_rows", shapes, |s| s.1);
+        let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
+        let value = Matrix::vstack(&mats);
+        self.record(prof, value, || Op::ConcatRows(parts.to_vec()))
+    }
+
+    /// Stack vars horizontally (equal row counts).
+    fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        let prof = OpTimer::start();
+        let shapes = parts.iter().map(|&p| self.value(p).shape());
+        check_concat("concat_cols", shapes, |s| s.0);
+        let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
+        let value = Matrix::hstack(&mats);
+        self.record(prof, value, || Op::ConcatCols(parts.to_vec()))
+    }
+
+    /// Copy of rows `[start, start+len)`.
+    fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
+        let prof = OpTimer::start();
+        let xm = self.value(x);
+        check_slice("slice_rows", start + len, xm.rows());
+        let value = xm.slice_rows(start, len);
+        self.record(prof, value, || Op::SliceRows { x, start })
+    }
+
+    /// Copy of columns `[start, start+len)`.
+    fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
+        let prof = OpTimer::start();
+        let xm = self.value(x);
+        check_slice("slice_cols", start + len, xm.cols());
+        let value = xm.slice_cols(start, len);
+        self.record(prof, value, || Op::SliceCols { x, start })
+    }
+
+    /// Mean over rows, producing a `(1, C)` row.
+    fn mean_rows(&mut self, x: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.value(x).mean_rows();
+        self.record(prof, value, || Op::MeanRows(x))
     }
 }
 
@@ -428,6 +767,59 @@ impl Default for Tape {
     }
 }
 
+impl Record for Tape {
+    fn record(&mut self, timer: Option<OpTimer>, value: Matrix, op: impl FnOnce() -> Op) -> Var {
+        let op = op();
+        if let Some(t) = timer {
+            t.finish(op.index(), value.len());
+        }
+        NODES_PUSHED.with(|c| c.set(c.get() + 1));
+        self.nodes.push(Node {
+            value,
+            grad: None,
+            op,
+        });
+        Var(self.nodes.len() - 1)
+    }
+
+    fn param_cache(&mut self) -> &mut HashMap<ParamId, Var> {
+        &mut self.param_cache
+    }
+}
+
+impl TapeExec for Tape {
+    fn is_train(&self) -> bool {
+        self.train
+    }
+
+    fn value(&self, v: Var) -> &Matrix {
+        &self.nodes[v.0].value
+    }
+
+    fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var {
+        let k = self.constant(k.clone());
+        self.matmul(a, k)
+    }
+
+    fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
+        if !self.train || p <= 0.0 {
+            return x;
+        }
+        let prof = OpTimer::start();
+        assert!(p < 1.0, "dropout probability must be < 1");
+        let keep = 1.0 - p;
+        let scale = 1.0 / keep;
+        let xm = &self.nodes[x.0].value;
+        let draws = xm
+            .data()
+            .iter()
+            .map(|_| dropout_mask_elem(rng, keep, scale));
+        let mask = Matrix::from_vec(xm.rows(), xm.cols(), draws.collect());
+        let value = xm.hadamard(&mask);
+        self.record(prof, value, move || Op::Dropout { x, mask })
+    }
+}
+
 impl Tape {
     /// A fresh training-mode tape (dropout active).
     pub fn new() -> Self {
@@ -445,26 +837,6 @@ impl Tape {
         t
     }
 
-    fn push(&mut self, value: Matrix, op: Op) -> Var {
-        NODES_PUSHED.with(|c| c.set(c.get() + 1));
-        self.nodes.push(Node {
-            value,
-            grad: None,
-            op,
-        });
-        Var(self.nodes.len() - 1)
-    }
-
-    /// [`Tape::push`] plus op-profiler accounting. `timer` was started at
-    /// the recording method's entry (before the forward compute); `None`
-    /// when the profiler is off, in which case this is exactly `push`.
-    fn push_timed(&mut self, timer: Option<OpTimer>, value: Matrix, op: Op) -> Var {
-        if let Some(t) = timer {
-            t.finish(op.index(), value.len());
-        }
-        self.push(value, op)
-    }
-
     /// Number of nodes recorded so far.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -473,11 +845,6 @@ impl Tape {
     /// True when no node has been recorded.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The forward value of `v`.
-    pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
     }
 
     /// The gradient of `v` after [`Tape::backward`]; zeros if unused.
@@ -526,428 +893,13 @@ impl Tape {
         out
     }
 
-    // ---- op recording ----
-
-    /// Insert a constant leaf (no gradient flows out of the tape).
-    pub fn constant(&mut self, value: Matrix) -> Var {
-        let prof = OpTimer::start();
-        self.push_timed(prof, value, Op::Leaf)
-    }
-
-    /// Insert (or reuse) a leaf mirroring parameter `id` from `store`.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        if let Some(&v) = self.param_cache.get(&id) {
-            return v;
-        }
-        let prof = OpTimer::start();
-        let value = store.value(id).clone();
-        let v = self.push_timed(prof, value, Op::Leaf);
-        self.param_cache.insert(id, v);
-        v
-    }
-
-    /// Unwrap a record-time result; the panic message is the structured
-    /// [`TapeError`] rendering, so even the infallible entry points abort
-    /// with the op name and both shapes.
-    #[track_caller]
-    fn recorded(r: Result<Var, TapeError>) -> Var {
-        match r {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Tape::recorded`] for unit-returning entry points.
-    #[track_caller]
-    fn recorded_unit(r: Result<(), TapeError>) {
-        if let Err(e) = r {
-            panic!("{e}")
-        }
-    }
-
-    fn same_shape(&self, op: &'static str, a: Var, b: Var) -> Result<(), TapeError> {
-        let (la, lb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        if la != lb {
-            return Err(TapeError::ShapeMismatch {
-                op,
-                lhs: la,
-                rhs: lb,
-            });
-        }
-        Ok(())
-    }
-
-    /// Matrix product `a @ b`.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_matmul(a, b))
-    }
-
-    /// Shape-checked [`Tape::matmul`].
-    pub fn try_matmul(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let (la, lb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        if la.1 != lb.0 {
-            return Err(TapeError::ShapeMismatch {
-                op: "matmul",
-                lhs: la,
-                rhs: lb,
-            });
-        }
-        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Matmul(a, b)))
-    }
-
-    /// Elementwise sum (same shapes).
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_add(a, b))
-    }
-
-    /// Shape-checked [`Tape::add`].
-    pub fn try_add(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        self.same_shape("add", a, b)?;
-        let value = self.nodes[a.0].value.add(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Add(a, b)))
-    }
-
-    /// `a + b` where `b` is a (1,C) row broadcast over the rows of `a`.
-    pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_add_row_broadcast(a, b))
-    }
-
-    /// Shape-checked [`Tape::add_row_broadcast`].
-    pub fn try_add_row_broadcast(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let (la, lb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        if lb.0 != 1 {
-            return Err(TapeError::BadShape {
-                op: "add_row_broadcast",
-                got: lb,
-                want: "a (1,C) row vector",
-            });
-        }
-        if la.1 != lb.1 {
-            return Err(TapeError::ShapeMismatch {
-                op: "add_row_broadcast",
-                lhs: la,
-                rhs: lb,
-            });
-        }
-        let am = &self.nodes[a.0].value;
-        let bm = &self.nodes[b.0].value;
-        let mut value = am.clone();
-        for r in 0..value.rows() {
-            for (v, &x) in value.row_mut(r).iter_mut().zip(bm.row(0)) {
-                *v += x;
-            }
-        }
-        Ok(self.push_timed(prof, value, Op::AddRowBroadcast(a, b)))
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_sub(a, b))
-    }
-
-    /// Shape-checked [`Tape::sub`].
-    pub fn try_sub(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        self.same_shape("sub", a, b)?;
-        let value = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Sub(a, b)))
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_mul(a, b))
-    }
-
-    /// Shape-checked [`Tape::mul`].
-    pub fn try_mul(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        self.same_shape("mul", a, b)?;
-        let value = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Mul(a, b)))
-    }
-
-    /// Multiply every element by the constant `c`.
-    pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.scale(c);
-        self.push_timed(prof, value, Op::Scale(a, c))
-    }
-
-    /// Add a constant matrix elementwise (no gradient to the constant).
-    pub fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
-        Self::recorded(self.try_add_const(a, k))
-    }
-
-    /// Shape-checked [`Tape::add_const`].
-    pub fn try_add_const(&mut self, a: Var, k: &Matrix) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let la = self.nodes[a.0].value.shape();
-        if la != k.shape() {
-            return Err(TapeError::ShapeMismatch {
-                op: "add_const",
-                lhs: la,
-                rhs: k.shape(),
-            });
-        }
-        let value = self.nodes[a.0].value.add(k);
-        Ok(self.push_timed(prof, value, Op::AddConst(a)))
-    }
+    // ---- ops only a differentiating tape records ----
 
     /// Gradient-reversal layer: forward identity, backward `-lambda * g`.
     pub fn grad_reverse(&mut self, a: Var, lambda: f32) -> Var {
         let prof = OpTimer::start();
         let value = self.nodes[a.0].value.clone();
-        self.push_timed(prof, value, Op::GradReverse(a, lambda))
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.transpose();
-        self.push_timed(prof, value, Op::Transpose(a))
-    }
-
-    /// Elementwise `tanh`.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(mathf::tanh);
-        self.push_timed(prof, value, Op::Tanh(a))
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + mathf::exp(-x)));
-        self.push_timed(prof, value, Op::Sigmoid(a))
-    }
-
-    /// Elementwise GELU (tanh approximation, as in BERT).
-    pub fn gelu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(gelu);
-        self.push_timed(prof, value, Op::Gelu(a))
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(|x| x.max(0.0));
-        self.push_timed(prof, value, Op::Relu(a))
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.softmax_rows();
-        self.push_timed(prof, value, Op::SoftmaxRows(a))
-    }
-
-    /// Row-wise layer normalization. `gamma` and `beta` must be (1,C).
-    pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        Self::recorded(self.try_layer_norm(x, gamma, beta, eps))
-    }
-
-    /// Shape-checked [`Tape::layer_norm`].
-    pub fn try_layer_norm(
-        &mut self,
-        x: Var,
-        gamma: Var,
-        beta: Var,
-        eps: f32,
-    ) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let xm = self.nodes[x.0].value.clone();
-        let (rows, cols) = xm.shape();
-        for v in [gamma, beta] {
-            let shape = self.nodes[v.0].value.shape();
-            if shape != (1, cols) {
-                return Err(TapeError::ShapeMismatch {
-                    op: "layer_norm",
-                    lhs: (rows, cols),
-                    rhs: shape,
-                });
-            }
-        }
-        let gm = &self.nodes[gamma.0].value;
-        let bm = &self.nodes[beta.0].value;
-        let mut normed = Matrix::zeros(rows, cols);
-        let mut inv_std = Vec::with_capacity(rows);
-        let mut value = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let row = xm.row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let istd = 1.0 / (var + eps).sqrt();
-            inv_std.push(istd);
-            for (c, &xv) in row.iter().enumerate() {
-                let n = (xv - mean) * istd;
-                normed.set(r, c, n);
-                value.set(r, c, n * gm.get(0, c) + bm.get(0, c));
-            }
-        }
-        Ok(self.push_timed(
-            prof,
-            value,
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                normed,
-                inv_std,
-            },
-        ))
-    }
-
-    /// Select rows of `src` by `idx` (duplicates allowed).
-    pub fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
-        Self::recorded(self.try_gather_rows(src, idx))
-    }
-
-    /// Shape-checked [`Tape::gather_rows`].
-    pub fn try_gather_rows(&mut self, src: Var, idx: &[usize]) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let rows = self.nodes[src.0].value.rows();
-        if let Some(&bad) = idx.iter().find(|&&i| i >= rows) {
-            return Err(TapeError::IndexOutOfRange {
-                op: "gather_rows",
-                index: bad,
-                len: rows,
-            });
-        }
-        let value = self.nodes[src.0].value.gather_rows(idx);
-        Ok(self.push_timed(
-            prof,
-            value,
-            Op::GatherRows {
-                src,
-                idx: idx.to_vec(),
-            },
-        ))
-    }
-
-    /// Inverted dropout with keep-probability `1-p`. Identity when the tape
-    /// is in inference mode or `p == 0`.
-    pub fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
-        if !self.train || p <= 0.0 {
-            return x;
-        }
-        let prof = OpTimer::start();
-        assert!(p < 1.0, "dropout probability must be < 1");
-        let (rows, cols) = self.nodes[x.0].value.shape();
-        let keep = 1.0 - p;
-        let scale = 1.0 / keep;
-        let mask = Matrix::from_fn(rows, cols, |_, _| {
-            if rng.gen::<f32>() < keep {
-                scale
-            } else {
-                0.0
-            }
-        });
-        let value = self.nodes[x.0].value.hadamard(&mask);
-        self.push_timed(prof, value, Op::Dropout { x, mask })
-    }
-
-    /// Stack vars vertically (equal column counts).
-    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        Self::recorded(self.try_concat_rows(parts))
-    }
-
-    /// Shape-checked [`Tape::concat_rows`].
-    pub fn try_concat_rows(&mut self, parts: &[Var]) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        if let [first, rest @ ..] = parts {
-            let want = self.nodes[first.0].value.cols();
-            for p in rest {
-                let shape = self.nodes[p.0].value.shape();
-                if shape.1 != want {
-                    return Err(TapeError::ShapeMismatch {
-                        op: "concat_rows",
-                        lhs: self.nodes[first.0].value.shape(),
-                        rhs: shape,
-                    });
-                }
-            }
-        }
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
-        let value = Matrix::vstack(&mats);
-        Ok(self.push_timed(prof, value, Op::ConcatRows(parts.to_vec())))
-    }
-
-    /// Stack vars horizontally (equal row counts).
-    pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        Self::recorded(self.try_concat_cols(parts))
-    }
-
-    /// Shape-checked [`Tape::concat_cols`].
-    pub fn try_concat_cols(&mut self, parts: &[Var]) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        if let [first, rest @ ..] = parts {
-            let want = self.nodes[first.0].value.rows();
-            for p in rest {
-                let shape = self.nodes[p.0].value.shape();
-                if shape.0 != want {
-                    return Err(TapeError::ShapeMismatch {
-                        op: "concat_cols",
-                        lhs: self.nodes[first.0].value.shape(),
-                        rhs: shape,
-                    });
-                }
-            }
-        }
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
-        let value = Matrix::hstack(&mats);
-        Ok(self.push_timed(prof, value, Op::ConcatCols(parts.to_vec())))
-    }
-
-    /// Copy of rows `[start, start+len)`.
-    pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Self::recorded(self.try_slice_rows(x, start, len))
-    }
-
-    /// Shape-checked [`Tape::slice_rows`].
-    pub fn try_slice_rows(&mut self, x: Var, start: usize, len: usize) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let rows = self.nodes[x.0].value.rows();
-        if start + len > rows {
-            return Err(TapeError::IndexOutOfRange {
-                op: "slice_rows",
-                index: start + len,
-                len: rows,
-            });
-        }
-        let value = self.nodes[x.0].value.slice_rows(start, len);
-        Ok(self.push_timed(prof, value, Op::SliceRows { x, start }))
-    }
-
-    /// Copy of columns `[start, start+len)`.
-    pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Self::recorded(self.try_slice_cols(x, start, len))
-    }
-
-    /// Shape-checked [`Tape::slice_cols`].
-    pub fn try_slice_cols(&mut self, x: Var, start: usize, len: usize) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let cols = self.nodes[x.0].value.cols();
-        if start + len > cols {
-            return Err(TapeError::IndexOutOfRange {
-                op: "slice_cols",
-                index: start + len,
-                len: cols,
-            });
-        }
-        let value = self.nodes[x.0].value.slice_cols(start, len);
-        Ok(self.push_timed(prof, value, Op::SliceCols { x, start }))
-    }
-
-    /// Mean over rows, producing a `(1, C)` row.
-    pub fn mean_rows(&mut self, x: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[x.0].value.mean_rows();
-        self.push_timed(prof, value, Op::MeanRows(x))
+        self.record(prof, value, || Op::GradReverse(a, lambda))
     }
 
     /// Mean of every element, producing a scalar var.
@@ -955,109 +907,75 @@ impl Tape {
         let prof = OpTimer::start();
         let m = &self.nodes[x.0].value;
         let value = Matrix::scalar(m.sum() / m.len() as f32);
-        self.push_timed(prof, value, Op::MeanAll(x))
+        self.record(prof, value, || Op::MeanAll(x))
     }
 
-    /// Validate a (matrix, class-target list) pairing for a loss op.
-    fn check_targets(&self, op: &'static str, m: Var, targets: &[usize]) -> Result<(), TapeError> {
+    /// Record-time check of a (matrix, class-target list) pairing for a
+    /// loss op.
+    fn check_targets(&self, op: &'static str, m: Var, targets: &[usize]) {
         let shape = self.nodes[m.0].value.shape();
         if shape.0 != targets.len() {
-            return Err(TapeError::BadShape {
+            reject(TapeError::BadShape {
                 op,
                 got: shape,
                 want: "one row per target",
             });
         }
         if let Some(&bad) = targets.iter().find(|&&t| t >= shape.1) {
-            return Err(TapeError::TargetOutOfRange {
+            reject(TapeError::TargetOutOfRange {
                 op,
                 target: bad,
                 classes: shape.1,
             });
         }
-        Ok(())
     }
 
     /// Mean cross-entropy of row-wise softmax(logits) against integer
     /// `targets`. Returns a scalar var.
     pub fn cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Var {
-        Self::recorded(self.try_cross_entropy(logits, targets))
-    }
-
-    /// Shape-checked [`Tape::cross_entropy`].
-    pub fn try_cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Result<Var, TapeError> {
         let prof = OpTimer::start();
-        self.check_targets("cross_entropy", logits, targets)?;
-        let lm = &self.nodes[logits.0].value;
-        let probs = lm.softmax_rows();
+        self.check_targets("cross_entropy", logits, targets);
+        let probs = self.nodes[logits.0].value.softmax_rows();
         let mut loss = 0.0f32;
         for (r, &t) in targets.iter().enumerate() {
             loss -= probs.get(r, t).max(1e-12).ln();
         }
         loss /= targets.len() as f32;
-        Ok(self.push_timed(
-            prof,
-            Matrix::scalar(loss),
-            Op::CrossEntropy {
-                logits,
-                targets: targets.to_vec(),
-                probs,
-            },
-        ))
+        self.record(prof, Matrix::scalar(loss), || Op::CrossEntropy {
+            logits,
+            targets: targets.to_vec(),
+            probs,
+        })
     }
 
     /// Mean negative log likelihood of already-normalized probabilities:
     /// `-(1/n) Σ log probs[r][targets[r]]`. Scalar var.
     pub fn nll_probs(&mut self, probs: Var, targets: &[usize]) -> Var {
-        Self::recorded(self.try_nll_probs(probs, targets))
-    }
-
-    /// Shape-checked [`Tape::nll_probs`].
-    pub fn try_nll_probs(&mut self, probs: Var, targets: &[usize]) -> Result<Var, TapeError> {
         let prof = OpTimer::start();
-        self.check_targets("nll_probs", probs, targets)?;
+        self.check_targets("nll_probs", probs, targets);
         let pm = &self.nodes[probs.0].value;
         let mut loss = 0.0f32;
         for (r, &t) in targets.iter().enumerate() {
             loss -= pm.get(r, t).max(1e-12).ln();
         }
         loss /= targets.len() as f32;
-        Ok(self.push_timed(
-            prof,
-            Matrix::scalar(loss),
-            Op::NllProbs {
-                probs,
-                targets: targets.to_vec(),
-            },
-        ))
+        self.record(prof, Matrix::scalar(loss), || Op::NllProbs {
+            probs,
+            targets: targets.to_vec(),
+        })
     }
 
     /// Mean squared error against a constant target matrix. Scalar var.
     pub fn mse_loss(&mut self, pred: Var, target: &Matrix) -> Var {
-        Self::recorded(self.try_mse_loss(pred, target))
-    }
-
-    /// Shape-checked [`Tape::mse_loss`].
-    pub fn try_mse_loss(&mut self, pred: Var, target: &Matrix) -> Result<Var, TapeError> {
         let prof = OpTimer::start();
         let pm = &self.nodes[pred.0].value;
-        if pm.shape() != target.shape() {
-            return Err(TapeError::ShapeMismatch {
-                op: "mse_loss",
-                lhs: pm.shape(),
-                rhs: target.shape(),
-            });
-        }
+        check_same_shape("mse_loss", pm.shape(), target.shape());
         let diff = pm.sub(target);
         let loss = diff.data().iter().map(|d| d * d).sum::<f32>() / pm.len() as f32;
-        Ok(self.push_timed(
-            prof,
-            Matrix::scalar(loss),
-            Op::MseLoss {
-                pred,
-                target: target.clone(),
-            },
-        ))
+        self.record(prof, Matrix::scalar(loss), || Op::MseLoss {
+            pred,
+            target: target.clone(),
+        })
     }
 
     fn add_grad(&mut self, v: Var, g: Matrix) {
@@ -1067,19 +985,15 @@ impl Tape {
         }
     }
 
-    /// Run reverse-mode differentiation from scalar `loss`.
+    /// Run reverse-mode differentiation from scalar `loss`. Panics with the
+    /// [`TapeError`] text if `loss` is not `1x1`.
     pub fn backward(&mut self, loss: Var) {
-        Self::recorded_unit(self.try_backward(loss))
-    }
-
-    /// Shape-checked [`Tape::backward`]: fails if `loss` is not scalar.
-    pub fn try_backward(&mut self, loss: Var) -> Result<(), TapeError> {
         // Timing is telemetry-gated so the hot path stays free of clock
         // reads when no sink is active.
         let timed = em_obs::Stopwatch::if_enabled();
         let shape = self.nodes[loss.0].value.shape();
         if shape != (1, 1) {
-            return Err(TapeError::BadShape {
+            reject(TapeError::BadShape {
                 op: "backward",
                 got: shape,
                 want: "a scalar (1x1) loss",
@@ -1126,7 +1040,6 @@ impl Tape {
         TAPE_PARAM_LEAVES
             .get_or_init(|| em_obs::metrics::counter("nn_tape_param_leaves", &[]))
             .add(self.param_cache.len() as u64);
-        Ok(())
     }
 
     /// Check one node's value (and, if present, gradient) buffers for
@@ -1260,38 +1173,38 @@ impl Tape {
                 x,
                 gamma,
                 beta,
-                normed,
-                inv_std,
+                eps,
             } => {
-                let gm = self.nodes[gamma.0].value.clone();
-                let (rows, cols) = normed.shape();
+                let (xm, gm) = (&self.nodes[x.0].value, self.nodes[gamma.0].value.row(0));
+                let (rows, cols) = xm.shape();
                 let mut dx = Matrix::zeros(rows, cols);
-                let mut dgamma = Matrix::zeros(1, cols);
-                let mut dbeta = Matrix::zeros(1, cols);
-                for (r, &istd) in inv_std.iter().enumerate() {
+                let mut dgamma = vec![0.0f32; cols];
+                let mut dbeta = vec![0.0f32; cols];
+                let mut normed = vec![0.0f32; cols];
+                let mut dyh = vec![0.0f32; cols];
+                for r in 0..rows {
+                    // The forward's normalized row, recomputed bit for bit
+                    // from `x` with the forward's own statistics.
+                    let (mean, istd) = layer_norm_stats(xm.row(r), *eps);
+                    for (n, &xv) in normed.iter_mut().zip(xm.row(r)) {
+                        *n = (xv - mean) * istd;
+                    }
                     // dy-hat = g * gamma; standard layernorm backward per row.
-                    let mut dyh = vec![0.0f32; cols];
-                    for (c, d) in dyh.iter_mut().enumerate() {
-                        let gv = g.get(r, c);
-                        *d = gv * gm.get(0, c);
-                        dgamma.row_mut(0)[c] += gv * normed.get(r, c);
-                        dbeta.row_mut(0)[c] += gv;
+                    for (c, &gv) in g.row(r).iter().enumerate() {
+                        dyh[c] = gv * gm[c];
+                        dgamma[c] += gv * normed[c];
+                        dbeta[c] += gv;
                     }
                     let mean_dyh = dyh.iter().sum::<f32>() / cols as f32;
-                    let mean_dyh_n = dyh
-                        .iter()
-                        .enumerate()
-                        .map(|(c, &d)| d * normed.get(r, c))
-                        .sum::<f32>()
-                        / cols as f32;
-                    for (c, &d) in dyh.iter().enumerate() {
-                        let n = normed.get(r, c);
-                        dx.set(r, c, istd * (d - mean_dyh - n * mean_dyh_n));
+                    let mean_dyh_n =
+                        dyh.iter().zip(&normed).map(|(&d, &n)| d * n).sum::<f32>() / cols as f32;
+                    for ((o, &d), &n) in dx.row_mut(r).iter_mut().zip(&dyh).zip(&normed) {
+                        *o = istd * (d - mean_dyh - n * mean_dyh_n);
                     }
                 }
                 self.add_grad(*x, dx);
-                self.add_grad(*gamma, dgamma);
-                self.add_grad(*beta, dbeta);
+                self.add_grad(*gamma, Matrix::row_vector(dgamma));
+                self.add_grad(*beta, Matrix::row_vector(dbeta));
             }
             Op::GatherRows { src, idx } => {
                 let (rows, cols) = self.nodes[src.0].value.shape();
@@ -1421,192 +1334,9 @@ pub fn burn_draws(rng: &mut impl rand::Rng, n: usize) {
     }
 }
 
-/// Profiler slots for the tape-free path: positions in
-/// [`em_obs::names::ALL_OP_NAMES`], numerically identical to `Op::index`
-/// (a test pins every constant against the registry).
-mod op_idx {
-    pub const LEAF: usize = 0;
-    pub const MATMUL: usize = 1;
-    pub const ADD: usize = 2;
-    pub const ADD_ROW_BROADCAST: usize = 3;
-    pub const SUB: usize = 4;
-    pub const MUL: usize = 5;
-    pub const SCALE: usize = 6;
-    pub const ADD_CONST: usize = 7;
-    pub const TRANSPOSE: usize = 9;
-    pub const TANH: usize = 10;
-    pub const SIGMOID: usize = 11;
-    pub const GELU: usize = 12;
-    pub const RELU: usize = 13;
-    pub const SOFTMAX_ROWS: usize = 14;
-    pub const LAYER_NORM: usize = 15;
-    pub const GATHER_ROWS: usize = 16;
-    pub const DROPOUT: usize = 17;
-    pub const CONCAT_ROWS: usize = 18;
-    pub const CONCAT_COLS: usize = 19;
-    pub const SLICE_ROWS: usize = 20;
-    pub const SLICE_COLS: usize = 21;
-    pub const MEAN_ROWS: usize = 22;
-}
-
-/// The forward-only op surface shared by the recording [`Tape`] and the
-/// tape-free [`NoGradTape`].
-///
-/// Model forwards (`em-layers`, `mini-lm`, `em-core`) are generic over this
-/// trait, so one implementation of each layer serves both modes: training
-/// instantiates it with [`Tape`] (recording, differentiable), inference with
-/// [`NoGradTape`] (value-only, zero graph bookkeeping). Loss ops,
-/// `backward`, and the graph-topology accessors are deliberately *not* part
-/// of the trait — code that differentiates must name [`Tape`] concretely.
-///
-/// Both implementations run the identical numeric kernels in identical
-/// order — including the RNG draw order and `x * m` products inside
-/// [`TapeExec::dropout`] — so outputs are bit-exact across modes; tests
-/// here and in `mini-lm`/`em-core` pin that equivalence.
-pub trait TapeExec {
-    /// True when dropout is active (a training-mode executor).
-    fn is_train(&self) -> bool;
-    /// Insert a constant leaf.
-    fn constant(&mut self, value: Matrix) -> Var;
-    /// Insert (or reuse) a leaf mirroring parameter `id` from `store`.
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var;
-    /// The forward value of `v`.
-    fn value(&self, v: Var) -> &Matrix;
-    /// Matrix product `a @ b`.
-    fn matmul(&mut self, a: Var, b: Var) -> Var;
-    /// Matrix product `a @ k` with a borrowed constant right operand (no
-    /// gradient to `k`). The tape-free executor multiplies against `k`
-    /// directly, so a large operand shared by many forwards (the scoring
-    /// head's transposed tied decoder) is never copied into the tape.
-    fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var;
-    /// Elementwise sum (same shapes).
-    fn add(&mut self, a: Var, b: Var) -> Var;
-    /// `a + b` where `b` is a (1,C) row broadcast over the rows of `a`.
-    fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var;
-    /// Elementwise difference.
-    fn sub(&mut self, a: Var, b: Var) -> Var;
-    /// Elementwise (Hadamard) product.
-    fn mul(&mut self, a: Var, b: Var) -> Var;
-    /// Multiply every element by the constant `c`.
-    fn scale(&mut self, a: Var, c: f32) -> Var;
-    /// Add a constant matrix elementwise (no gradient to the constant).
-    fn add_const(&mut self, a: Var, k: &Matrix) -> Var;
-    /// Matrix transpose.
-    fn transpose(&mut self, a: Var) -> Var;
-    /// Elementwise `tanh`.
-    fn tanh(&mut self, a: Var) -> Var;
-    /// Elementwise logistic sigmoid.
-    fn sigmoid(&mut self, a: Var) -> Var;
-    /// Elementwise GELU (tanh approximation, as in BERT).
-    fn gelu(&mut self, a: Var) -> Var;
-    /// Elementwise ReLU.
-    fn relu(&mut self, a: Var) -> Var;
-    /// Row-wise softmax.
-    fn softmax_rows(&mut self, a: Var) -> Var;
-    /// Row-wise layer normalization. `gamma` and `beta` must be (1,C).
-    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var;
-    /// Select rows of `src` by `idx` (duplicates allowed).
-    fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var;
-    /// Inverted dropout with keep-probability `1-p`. Identity when the
-    /// executor is in inference mode or `p == 0`.
-    fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var;
-    /// Stack vars vertically (equal column counts).
-    fn concat_rows(&mut self, parts: &[Var]) -> Var;
-    /// Stack vars horizontally (equal row counts).
-    fn concat_cols(&mut self, parts: &[Var]) -> Var;
-    /// Copy of rows `[start, start+len)`.
-    fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var;
-    /// Copy of columns `[start, start+len)`.
-    fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var;
-    /// Mean over rows, producing a `(1, C)` row.
-    fn mean_rows(&mut self, x: Var) -> Var;
-}
-
-impl TapeExec for Tape {
-    fn is_train(&self) -> bool {
-        self.train
-    }
-    fn constant(&mut self, value: Matrix) -> Var {
-        Tape::constant(self, value)
-    }
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        Tape::param(self, store, id)
-    }
-    fn value(&self, v: Var) -> &Matrix {
-        Tape::value(self, v)
-    }
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        Tape::matmul(self, a, b)
-    }
-    fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var {
-        let k = Tape::constant(self, k.clone());
-        Tape::matmul(self, a, k)
-    }
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        Tape::add(self, a, b)
-    }
-    fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        Tape::add_row_broadcast(self, a, b)
-    }
-    fn sub(&mut self, a: Var, b: Var) -> Var {
-        Tape::sub(self, a, b)
-    }
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        Tape::mul(self, a, b)
-    }
-    fn scale(&mut self, a: Var, c: f32) -> Var {
-        Tape::scale(self, a, c)
-    }
-    fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
-        Tape::add_const(self, a, k)
-    }
-    fn transpose(&mut self, a: Var) -> Var {
-        Tape::transpose(self, a)
-    }
-    fn tanh(&mut self, a: Var) -> Var {
-        Tape::tanh(self, a)
-    }
-    fn sigmoid(&mut self, a: Var) -> Var {
-        Tape::sigmoid(self, a)
-    }
-    fn gelu(&mut self, a: Var) -> Var {
-        Tape::gelu(self, a)
-    }
-    fn relu(&mut self, a: Var) -> Var {
-        Tape::relu(self, a)
-    }
-    fn softmax_rows(&mut self, a: Var) -> Var {
-        Tape::softmax_rows(self, a)
-    }
-    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        Tape::layer_norm(self, x, gamma, beta, eps)
-    }
-    fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
-        Tape::gather_rows(self, src, idx)
-    }
-    fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
-        Tape::dropout(self, x, p, rng)
-    }
-    fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        Tape::concat_rows(self, parts)
-    }
-    fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        Tape::concat_cols(self, parts)
-    }
-    fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Tape::slice_rows(self, x, start, len)
-    }
-    fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Tape::slice_cols(self, x, start, len)
-    }
-    fn mean_rows(&mut self, x: Var) -> Var {
-        Tape::mean_rows(self, x)
-    }
-}
-
-/// Value-only executor: runs the same op kernels as [`Tape`] but records no
-/// graph — no op payloads, no grad slots, no LayerNorm/Dropout caches — so
-/// a forward pass allocates nothing beyond the value matrices themselves.
+/// Value-only executor: runs the same op bodies as [`Tape`] but records no
+/// graph — no op payloads, no grad slots, no dropout masks — so a forward
+/// pass allocates nothing beyond the value matrices themselves.
 ///
 /// Every inference path uses this (teacher scoring, MC-dropout uncertainty,
 /// grid probes, CLI `match` prediction). `train` controls dropout exactly as
@@ -1653,13 +1383,22 @@ impl NoGradTape {
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
+}
 
-    fn push(&mut self, timer: Option<OpTimer>, op_idx: usize, value: Matrix) -> Var {
+impl Record for NoGradTape {
+    fn record(&mut self, timer: Option<OpTimer>, value: Matrix, op: impl FnOnce() -> Op) -> Var {
         if let Some(t) = timer {
-            t.finish(op_idx, value.len());
+            // A statement of its own, so the op is dropped before `finish`
+            // reads the heap: its payload is not this executor's cost.
+            let slot = op().index();
+            t.finish(slot, value.len());
         }
         self.slots.push(value);
         Var(self.slots.len() - 1)
+    }
+
+    fn param_cache(&mut self) -> &mut HashMap<ParamId, Var> {
+        &mut self.param_cache
     }
 }
 
@@ -1668,152 +1407,17 @@ impl TapeExec for NoGradTape {
         self.train
     }
 
-    fn constant(&mut self, value: Matrix) -> Var {
-        let prof = OpTimer::start();
-        self.push(prof, op_idx::LEAF, value)
-    }
-
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        if let Some(&v) = self.param_cache.get(&id) {
-            return v;
-        }
-        let prof = OpTimer::start();
-        let value = store.value(id).clone();
-        let v = self.push(prof, op_idx::LEAF, value);
-        self.param_cache.insert(id, v);
-        v
-    }
-
     fn value(&self, v: Var) -> &Matrix {
         &self.slots[v.0]
     }
 
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].matmul(&self.slots[b.0]);
-        self.push(prof, op_idx::MATMUL, value)
-    }
-
     fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var {
         let prof = OpTimer::start();
-        let value = self.slots[a.0].matmul(k);
-        self.push(prof, op_idx::MATMUL, value)
-    }
-
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].add(&self.slots[b.0]);
-        self.push(prof, op_idx::ADD, value)
-    }
-
-    fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let (am, bm) = (&self.slots[a.0], &self.slots[b.0]);
-        assert_eq!(bm.rows(), 1, "add_row_broadcast needs a (1,C) row vector");
-        assert_eq!(am.cols(), bm.cols(), "add_row_broadcast column mismatch");
-        let mut value = am.clone();
-        for r in 0..value.rows() {
-            for (v, &x) in value.row_mut(r).iter_mut().zip(self.slots[b.0].row(0)) {
-                *v += x;
-            }
-        }
-        self.push(prof, op_idx::ADD_ROW_BROADCAST, value)
-    }
-
-    fn sub(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].sub(&self.slots[b.0]);
-        self.push(prof, op_idx::SUB, value)
-    }
-
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].hadamard(&self.slots[b.0]);
-        self.push(prof, op_idx::MUL, value)
-    }
-
-    fn scale(&mut self, a: Var, c: f32) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].scale(c);
-        self.push(prof, op_idx::SCALE, value)
-    }
-
-    fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].add(k);
-        self.push(prof, op_idx::ADD_CONST, value)
-    }
-
-    fn transpose(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].transpose();
-        self.push(prof, op_idx::TRANSPOSE, value)
-    }
-
-    fn tanh(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(mathf::tanh);
-        self.push(prof, op_idx::TANH, value)
-    }
-
-    fn sigmoid(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(|x| 1.0 / (1.0 + mathf::exp(-x)));
-        self.push(prof, op_idx::SIGMOID, value)
-    }
-
-    fn gelu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(gelu);
-        self.push(prof, op_idx::GELU, value)
-    }
-
-    fn relu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(|x| x.max(0.0));
-        self.push(prof, op_idx::RELU, value)
-    }
-
-    fn softmax_rows(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].softmax_rows();
-        self.push(prof, op_idx::SOFTMAX_ROWS, value)
-    }
-
-    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let prof = OpTimer::start();
-        let (rows, cols) = self.slots[x.0].shape();
-        for v in [gamma, beta] {
-            assert_eq!(
-                self.slots[v.0].shape(),
-                (1, cols),
-                "layer_norm gain/bias must be (1,C)"
-            );
-        }
-        // Same per-row arithmetic as the recording tape, minus the `normed`
-        // and `inv_std` backward caches.
-        let mut value = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let row = self.slots[x.0].row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let istd = 1.0 / (var + eps).sqrt();
-            for (c, &xv) in row.iter().enumerate() {
-                let n = (xv - mean) * istd;
-                value.set(
-                    r,
-                    c,
-                    n * self.slots[gamma.0].get(0, c) + self.slots[beta.0].get(0, c),
-                );
-            }
-        }
-        self.push(prof, op_idx::LAYER_NORM, value)
-    }
-
-    fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[src.0].gather_rows(idx);
-        self.push(prof, op_idx::GATHER_ROWS, value)
+        let am = &self.slots[a.0];
+        check_matmul(am.shape(), k.shape());
+        let value = am.matmul(k);
+        // `k` has no var here; the op only names the profiler slot.
+        self.record(prof, value, || Op::Matmul(a, a))
     }
 
     fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
@@ -1825,53 +1429,18 @@ impl TapeExec for NoGradTape {
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
         let xm = &self.slots[x.0];
-        // Fused mask-multiply: identical draws in identical (row-major)
-        // order and the same `x * m` products as the recording tape's
-        // mask + hadamard, without materializing the mask. Streaming the
-        // backing slice keeps the per-element cost at one draw + one
-        // multiply (no index arithmetic).
-        let data: Vec<f32> = xm
+        // The recording tape's draws and `x * m` products, fused into one
+        // pass over the backing slice without materializing the mask.
+        let data = xm
             .data()
             .iter()
-            .map(|&v| {
-                let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
-                v * m
-            })
-            .collect();
-        let value = Matrix::from_vec(xm.rows(), xm.cols(), data);
-        self.push(prof, op_idx::DROPOUT, value)
-    }
-
-    fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let prof = OpTimer::start();
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.slots[v.0]).collect();
-        let value = Matrix::vstack(&mats);
-        self.push(prof, op_idx::CONCAT_ROWS, value)
-    }
-
-    fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let prof = OpTimer::start();
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.slots[v.0]).collect();
-        let value = Matrix::hstack(&mats);
-        self.push(prof, op_idx::CONCAT_COLS, value)
-    }
-
-    fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[x.0].slice_rows(start, len);
-        self.push(prof, op_idx::SLICE_ROWS, value)
-    }
-
-    fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[x.0].slice_cols(start, len);
-        self.push(prof, op_idx::SLICE_COLS, value)
-    }
-
-    fn mean_rows(&mut self, x: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[x.0].mean_rows();
-        self.push(prof, op_idx::MEAN_ROWS, value)
+            .map(|&v| v * dropout_mask_elem(rng, keep, scale));
+        let value = Matrix::from_vec(xm.rows(), xm.cols(), data.collect());
+        // No mask exists here; the op only names the profiler slot.
+        self.record(prof, value, || Op::Dropout {
+            x,
+            mask: Matrix::zeros(0, 0),
+        })
     }
 }
 
@@ -2195,8 +1764,7 @@ mod tests {
                 x: v,
                 gamma: v,
                 beta: v,
-                normed: m.clone(),
-                inv_std: Vec::new(),
+                eps: 1e-5,
             },
             Op::GatherRows {
                 src: v,
@@ -2456,37 +2024,59 @@ mod tests {
         0x3e7760fa, 0x3f96dc98,
     ];
 
+    /// Record malformed call number `case` on `exec`; every case panics.
+    fn malformed_call<T: TapeExec>(exec: &mut T, case: usize) {
+        let a = exec.constant(Matrix::zeros(2, 3));
+        let b = exec.constant(Matrix::zeros(2, 3));
+        let wide = exec.constant(Matrix::zeros(1, 4));
+        match case {
+            0 => exec.matmul(a, b),
+            1 => exec.matmul_const(a, &Matrix::zeros(2, 3)),
+            2 => {
+                let t = exec.transpose(b);
+                exec.add(a, t)
+            }
+            3 => exec.add_row_broadcast(a, b),
+            4 => {
+                let beta = exec.constant(Matrix::zeros(1, 3));
+                exec.layer_norm(a, wide, beta, 1e-5)
+            }
+            5 => exec.gather_rows(a, &[1, 2]),
+            6 => exec.slice_cols(a, 2, 2),
+            7 => exec.slice_rows(a, 1, 2),
+            _ => exec.concat_rows(&[a, wide]),
+        };
+    }
+
     #[test]
-    fn nograd_op_indices_match_the_obs_registry() {
-        for (idx, name) in [
-            (op_idx::LEAF, "leaf"),
-            (op_idx::MATMUL, "matmul"),
-            (op_idx::ADD, "add"),
-            (op_idx::ADD_ROW_BROADCAST, "add_row_broadcast"),
-            (op_idx::SUB, "sub"),
-            (op_idx::MUL, "mul"),
-            (op_idx::SCALE, "scale"),
-            (op_idx::ADD_CONST, "add_const"),
-            (op_idx::TRANSPOSE, "transpose"),
-            (op_idx::TANH, "tanh"),
-            (op_idx::SIGMOID, "sigmoid"),
-            (op_idx::GELU, "gelu"),
-            (op_idx::RELU, "relu"),
-            (op_idx::SOFTMAX_ROWS, "softmax_rows"),
-            (op_idx::LAYER_NORM, "layer_norm"),
-            (op_idx::GATHER_ROWS, "gather_rows"),
-            (op_idx::DROPOUT, "dropout"),
-            (op_idx::CONCAT_ROWS, "concat_rows"),
-            (op_idx::CONCAT_COLS, "concat_cols"),
-            (op_idx::SLICE_ROWS, "slice_rows"),
-            (op_idx::SLICE_COLS, "slice_cols"),
-            (op_idx::MEAN_ROWS, "mean_rows"),
-        ] {
-            assert_eq!(
-                em_obs::names::ALL_OP_NAMES[idx],
-                name,
-                "tape-free profiler slot {idx} drifted from the registry"
-            );
+    fn both_executors_reject_malformed_calls_with_one_message() {
+        fn message(call: impl FnOnce()) -> String {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                .expect_err("a malformed call must panic");
+            match payload.downcast::<String>() {
+                Ok(s) => *s,
+                Err(p) => p
+                    .downcast::<&str>()
+                    .map(|s| s.to_string())
+                    .unwrap_or_default(),
+            }
+        }
+        let want = [
+            "tape op `matmul`: incompatible shapes 2x3 vs 2x3",
+            "tape op `matmul`: incompatible shapes 2x3 vs 2x3",
+            "tape op `add`: incompatible shapes 2x3 vs 3x2",
+            "tape op `add_row_broadcast`: operand is 2x3, need a (1,C) row vector",
+            "tape op `layer_norm`: incompatible shapes 2x3 vs 1x4",
+            "tape op `gather_rows`: index 2 out of range 0..2",
+            "tape op `slice_cols`: index 4 out of range 0..3",
+            "tape op `slice_rows`: index 3 out of range 0..2",
+            "tape op `concat_rows`: incompatible shapes 2x3 vs 1x4",
+        ];
+        for (case, want) in want.iter().enumerate() {
+            let taped = message(|| malformed_call(&mut Tape::new(), case));
+            let free = message(|| malformed_call(&mut NoGradTape::new(), case));
+            assert_eq!(&taped, want, "recording tape, case {case}");
+            assert_eq!(&free, want, "tape-free executor, case {case}");
         }
     }
 

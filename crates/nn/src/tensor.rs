@@ -239,6 +239,22 @@ impl Matrix {
         }
     }
 
+    /// `self + row`, with the `(1, C)` matrix `row` added to every row.
+    pub(crate) fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
+        assert_eq!(
+            row.shape(),
+            (1, self.cols),
+            "add_row_broadcast shape mismatch"
+        );
+        let mut out = self.clone();
+        for r in 0..out.rows {
+            for (v, &x) in out.row_mut(r).iter_mut().zip(&row.data) {
+                *v += x;
+            }
+        }
+        out
+    }
+
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
@@ -328,6 +344,28 @@ impl Matrix {
             softmax_in_place(out.row_mut(r));
         }
         out
+    }
+
+    /// Row-wise layer normalization: each row less its mean, times its
+    /// inverse standard deviation (both from `layer_norm_stats`), then
+    /// times `gamma` plus `beta`, both `(1, C)`.
+    pub(crate) fn layer_norm(&self, gamma: &Matrix, beta: &Matrix, eps: f32) -> Matrix {
+        assert!(
+            gamma.shape() == (1, self.cols) && beta.shape() == (1, self.cols),
+            "layer_norm gain/bias must be (1,C)"
+        );
+        let mut data = Vec::with_capacity(self.len());
+        for r in 0..self.rows {
+            let row = self.row(r);
+            let (mean, istd) = layer_norm_stats(row, eps);
+            let affine = row.iter().zip(&gamma.data).zip(&beta.data);
+            data.extend(affine.map(|((&x, &g), &b)| (x - mean) * istd * g + b));
+        }
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
     }
 
     /// Stack matrices vertically. All inputs must share the column count.
@@ -442,6 +480,29 @@ pub fn softmax_in_place(row: &mut [f32]) {
     let inv = 1.0 / sum;
     for v in row.iter_mut() {
         *v *= inv;
+    }
+}
+
+/// The mean of `row` and its inverse standard deviation
+/// `1 / sqrt(var + eps)`: the statistics [`Matrix::layer_norm`] normalizes
+/// by, which the tape's LayerNorm backward recomputes from the input.
+pub(crate) fn layer_norm_stats(row: &[f32], eps: f32) -> (f32, f32) {
+    let n = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / n;
+    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+    (mean, 1.0 / (var + eps).sqrt())
+}
+
+/// One element of an inverted-dropout mask: `scale` with probability
+/// `keep`, else 0, from exactly one `gen::<f32>()` draw. Both tape
+/// executors draw every element through this in row-major order and
+/// multiply `x * m`, so their dropout outputs and RNG states agree.
+#[inline(always)]
+pub(crate) fn dropout_mask_elem(rng: &mut impl rand::Rng, keep: f32, scale: f32) -> f32 {
+    if rng.gen::<f32>() < keep {
+        scale
+    } else {
+        0.0
     }
 }
 

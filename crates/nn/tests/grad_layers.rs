@@ -3,7 +3,7 @@
 //! these cover the composition, catching wiring errors between ops.
 
 use em_nn::layers::{BiLstm, FeedForward, Linear, Lstm, MultiHeadSelfAttention};
-use em_nn::{Matrix, ParamStore, Tape, Var};
+use em_nn::{Matrix, ParamStore, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

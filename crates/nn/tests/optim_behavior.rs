@@ -1,7 +1,7 @@
 //! Behavioral tests of the optimizers beyond convergence: exact first-step
 //! values, moment bookkeeping, and interaction with gradient clipping.
 
-use em_nn::{AdamW, Matrix, ParamStore, Sgd, Tape};
+use em_nn::{AdamW, Matrix, ParamStore, Sgd, Tape, TapeExec};
 
 #[test]
 fn adamw_first_step_magnitude_is_lr() {

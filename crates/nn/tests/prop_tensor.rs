@@ -1,6 +1,6 @@
 //! Property-based tests of the tensor kernels and autograd invariants.
 
-use em_nn::{Matrix, Tape};
+use em_nn::{Matrix, Tape, TapeExec};
 use proptest::prelude::*;
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {

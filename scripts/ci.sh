@@ -49,7 +49,7 @@ for run in base new; do
         --metrics-out "$smoke_dir/$run.jsonl" >/dev/null
 done
 cargo run --release -q -p promptem-cli --bin promptem -- \
-    report "$smoke_dir/new.jsonl" --bench-out BENCH_report.json \
+    report "$smoke_dir/new.jsonl" --bench-out "$smoke_dir/BENCH_report.json" \
     | tee "$smoke_dir/report.txt"
 cargo run --release -q -p promptem-cli --bin promptem -- \
     report --diff "$smoke_dir/base.jsonl" "$smoke_dir/new.jsonl"
@@ -59,7 +59,7 @@ grep -q "ops — " "$smoke_dir/report.txt" || {
     echo "op-profile: report printed no per-phase op tables" >&2
     exit 1
 }
-grep -q '"op": "matmul"' BENCH_report.json || {
+grep -q '"op": "matmul"' "$smoke_dir/BENCH_report.json" || {
     echo "op-profile: BENCH_report.json carries no op rows" >&2
     exit 1
 }
