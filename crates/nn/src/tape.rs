@@ -2024,6 +2024,38 @@ mod tests {
         0x3e7760fa, 0x3f96dc98,
     ];
 
+    #[test]
+    fn embedding_gradient_keeps_its_golden_bits() {
+        // One table read three ways, as a tied embedding is: two gathers
+        // (row 1 three times in all, rows 0, 2 and 5 never) and a product
+        // through its transpose, which reaches every row.
+        let mut store = ParamStore::new();
+        let e = store.register(
+            "e",
+            Matrix::from_fn(6, 4, |r, c| (r as f32 * 0.37 - c as f32 * 0.23).sin()),
+        );
+        let mut tape = Tape::new();
+        let table = tape.param(&store, e);
+        let first = tape.gather_rows(table, &[1, 3, 1]);
+        let second = tape.gather_rows(table, &[4, 1]);
+        let x = tape.concat_rows(&[first, second]);
+        let h = tape.tanh(x);
+        let decoder = tape.transpose(table);
+        let logits = tape.matmul(h, decoder);
+        let loss = tape.cross_entropy(logits, &[0, 2, 5, 1, 3]);
+        tape.backward(loss);
+        tape.accumulate_param_grads(&mut store);
+        let bits: Vec<u32> = store.grad(e).data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, GOLDEN_GRAD_E, "accumulated grad(e)");
+    }
+
+    const GOLDEN_GRAD_E: [u32; 24] = [
+        0xbcf87ffb, 0xbc1f5d71, 0x3c5022d6, 0x3d095433, 0xbdbe3f0a, 0xbe00ecfa, 0xbe217518,
+        0xbe36331f, 0xbda45795, 0xbdb946a9, 0xbdc4c352, 0xbdbcec1b, 0x3d294efa, 0x3d9d836f,
+        0x3df08e1a, 0x3e20d947, 0x3e2e0bd0, 0x3e27b674, 0x3e2028f1, 0x3e1abbcc, 0x3d91a4a1,
+        0x3db39fc4, 0x3dd03bbd, 0x3ddd99f4,
+    ];
+
     /// Record malformed call number `case` on `exec`; every case panics.
     fn malformed_call<T: TapeExec>(exec: &mut T, case: usize) {
         let a = exec.constant(Matrix::zeros(2, 3));
