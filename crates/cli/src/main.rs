@@ -133,7 +133,8 @@ global flags:
                                               batches/steps/passes in each training
                                               phase (PROMPTEM_PROGRESS_EVERY; 0 off)
   --threads <n>                               worker threads for pseudo-label
-                                              scoring (PROMPTEM_THREADS; default 1;
+                                              scoring and the training backward
+                                              (PROMPTEM_THREADS; default 1;
                                               results are bit-identical for any n)
 
 file formats by extension: .csv (relational), .jsonl/.ndjson (semi-structured),

@@ -45,13 +45,6 @@ pub struct EncodedDataset {
     pub unlabeled_gold: Vec<bool>,
 }
 
-impl EncodedDataset {
-    /// Gold labels of the test split.
-    pub fn test_labels(&self) -> Vec<bool> {
-        self.test.iter().map(|e| e.label).collect()
-    }
-}
-
 /// Encoding parameters.
 #[derive(Debug, Clone)]
 pub struct EncodeCfg {

@@ -214,16 +214,20 @@ impl PromptEmModel {
         let mut tape = Tape::new();
         let mut rows = Vec::with_capacity(batch.len());
         let mut targets = Vec::with_capacity(batch.len());
+        // One tape segment per example, so the backward runs them on the
+        // pool (`Tape::segment`).
         for ex in batch {
-            let (h, mask_row) = self.template.forward(
-                &mut tape,
-                &self.lm.store,
-                &self.lm.encoder,
-                &ex.pair.ids_a,
-                &ex.pair.ids_b,
-                &mut self.rng,
-            );
-            rows.push(tape.slice_rows(h, mask_row, 1));
+            rows.push(tape.segment(|tape| {
+                let (h, mask_row) = self.template.forward(
+                    tape,
+                    &self.lm.store,
+                    &self.lm.encoder,
+                    &ex.pair.ids_a,
+                    &ex.pair.ids_b,
+                    &mut self.rng,
+                );
+                tape.slice_rows(h, mask_row, 1)
+            }));
             targets.push(Self::target(ex.label));
         }
         let stacked = tape.concat_rows(&rows);

@@ -48,18 +48,6 @@ impl LmConfig {
         }
     }
 
-    /// Override the maximum sequence length.
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        self.max_len = max_len;
-        self
-    }
-
-    /// Override the dropout probability.
-    pub fn with_dropout(mut self, p: f32) -> Self {
-        self.dropout = p;
-        self
-    }
-
     /// Sanity-check invariants; panics with a clear message when violated.
     pub fn validate(&self) {
         assert!(

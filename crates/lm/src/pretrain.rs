@@ -425,11 +425,15 @@ pub fn pretrain_mlm_resilient(
                     vocab,
                     &mut rng,
                 );
-                let h = encoder.forward(&mut tape, store, &masked.ids, &mut rng);
-                for &(pos, orig) in &masked.targets {
-                    hidden_rows.push(tape.slice_rows(h, pos, 1));
-                    targets.push(orig);
-                }
+                // One tape segment per sequence, so the backward runs them
+                // on the pool (`Tape::segment`).
+                tape.segment(|tape| {
+                    let h = encoder.forward(tape, store, &masked.ids, &mut rng);
+                    for &(pos, orig) in &masked.targets {
+                        hidden_rows.push(tape.slice_rows(h, pos, 1));
+                        targets.push(orig);
+                    }
+                });
             }
             if targets.is_empty() {
                 continue;

@@ -11,8 +11,8 @@ use rand::Rng;
 pub struct Linear {
     /// Weight matrix `(in_dim, out_dim)`.
     pub w: ParamId,
-    /// Optional bias row `(1, out_dim)`.
-    pub b: Option<ParamId>,
+    /// Bias row `(1, out_dim)`.
+    pub b: ParamId,
     /// Input width.
     pub in_dim: usize,
     /// Output width.
@@ -35,27 +35,7 @@ impl Linear {
         let b = store.register(format!("{name}.b"), Matrix::zeros(1, out_dim));
         Linear {
             w,
-            b: Some(b),
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// A linear layer without bias (used for tied heads).
-    pub fn new_no_bias(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let w = store.register(
-            format!("{name}.w"),
-            init::xavier_uniform(in_dim, out_dim, rng),
-        );
-        Linear {
-            w,
-            b: None,
+            b,
             in_dim,
             out_dim,
         }
@@ -65,13 +45,8 @@ impl Linear {
     pub fn forward(&self, tape: &mut impl TapeExec, store: &ParamStore, x: Var) -> Var {
         let w = tape.param(store, self.w);
         let y = tape.matmul(x, w);
-        match self.b {
-            Some(b) => {
-                let bv = tape.param(store, b);
-                tape.add_row_broadcast(y, bv)
-            }
-            None => y,
-        }
+        let b = tape.param(store, self.b);
+        tape.add_row_broadcast(y, b)
     }
 }
 

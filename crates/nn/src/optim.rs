@@ -81,11 +81,6 @@ impl ParamStore {
         self.params.is_empty()
     }
 
-    /// Total scalar parameter count (for the efficiency table).
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// Debug name of a parameter.
     pub fn name(&self, id: ParamId) -> &str {
         &self.params[id.0].name

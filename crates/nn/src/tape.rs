@@ -3,7 +3,9 @@
 //! A [`Tape`] is built per forward pass (typically one per mini-batch). Ops
 //! append nodes; [`Tape::backward`] walks the node list in reverse and fills
 //! per-node gradients; [`Tape::accumulate_param_grads`] folds leaf gradients
-//! back into the shared [`ParamStore`](crate::optim::ParamStore).
+//! back into the shared [`ParamStore`](crate::optim::ParamStore). A batch
+//! that records each example as a [`Tape::segment`] gets its backward run
+//! on the `em-pool` workers, with the same gradient bits.
 //!
 //! Each forward op is written once, as a provided method of [`TapeExec`]:
 //! it checks shapes, computes with a [`Matrix`] kernel and hands the value
@@ -19,6 +21,7 @@ use crate::mathf;
 use crate::optim::{ParamId, ParamStore};
 use crate::tensor::{dropout_mask_elem, layer_norm_stats, Matrix};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::opstats::{OpStatsTable, RelaxedWord};
@@ -79,6 +82,14 @@ pub enum TapeError {
         /// Extent of the indexed dimension.
         len: usize,
     },
+    /// An op recorded inside a [`Tape::segment`] reads a non-leaf var from
+    /// outside that segment.
+    OutsideSegment {
+        /// Op being recorded.
+        op: &'static str,
+        /// Node index of the var it reads.
+        var: usize,
+    },
 }
 
 impl std::fmt::Display for TapeError {
@@ -105,6 +116,10 @@ impl std::fmt::Display for TapeError {
             TapeError::IndexOutOfRange { op, index, len } => {
                 write!(f, "tape op `{op}`: index {index} out of range 0..{len}")
             }
+            TapeError::OutsideSegment { op, var } => write!(
+                f,
+                "tape op `{op}`: reads node {var}, a non-leaf var outside its segment"
+            ),
         }
     }
 }
@@ -443,15 +458,19 @@ mod hook {
             }
         }
 
-        /// The vars this op reads (its graph predecessors).
-        pub fn inputs(&self) -> Vec<Var> {
+        /// Call `f` on each var this op reads (its graph predecessors), in
+        /// order.
+        pub fn for_each_input(&self, mut f: impl FnMut(Var)) {
             match self {
-                Op::Leaf => Vec::new(),
+                Op::Leaf => {}
                 Op::Matmul(a, b)
                 | Op::Add(a, b)
                 | Op::AddRowBroadcast(a, b)
                 | Op::Sub(a, b)
-                | Op::Mul(a, b) => vec![*a, *b],
+                | Op::Mul(a, b) => {
+                    f(*a);
+                    f(*b);
+                }
                 Op::Scale(a, _)
                 | Op::AddConst(a)
                 | Op::GradReverse(a, _)
@@ -462,15 +481,20 @@ mod hook {
                 | Op::Relu(a)
                 | Op::SoftmaxRows(a)
                 | Op::MeanRows(a)
-                | Op::MeanAll(a) => vec![*a],
-                Op::LayerNorm { x, gamma, beta, .. } => vec![*x, *gamma, *beta],
-                Op::GatherRows { src, .. } => vec![*src],
-                Op::Dropout { x, .. } => vec![*x],
-                Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.clone(),
-                Op::SliceRows { x, .. } | Op::SliceCols { x, .. } => vec![*x],
-                Op::CrossEntropy { logits, .. } => vec![*logits],
-                Op::MseLoss { pred, .. } => vec![*pred],
-                Op::NllProbs { probs, .. } => vec![*probs],
+                | Op::MeanAll(a)
+                | Op::GatherRows { src: a, .. }
+                | Op::Dropout { x: a, .. }
+                | Op::SliceRows { x: a, .. }
+                | Op::SliceCols { x: a, .. }
+                | Op::CrossEntropy { logits: a, .. }
+                | Op::MseLoss { pred: a, .. }
+                | Op::NllProbs { probs: a, .. } => f(*a),
+                Op::LayerNorm { x, gamma, beta, .. } => {
+                    f(*x);
+                    f(*gamma);
+                    f(*beta);
+                }
+                Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.iter().copied().for_each(f),
             }
         }
     }
@@ -749,14 +773,46 @@ pub trait TapeExec: Record {
 
 struct Node {
     value: Matrix,
-    grad: Option<Matrix>,
     op: Op,
+}
+
+/// One gradient contribution a backward step makes to one of its inputs.
+enum Grad {
+    /// A gradient of the input's full shape.
+    Dense(Matrix),
+    /// Row `rows[k]` of the input receives row `k` of `sums`; no other row
+    /// receives anything.
+    Rows { rows: Vec<usize>, sums: Matrix },
+}
+
+/// Add `g` into the gradient slot of a var of `shape`. A dense first
+/// contribution becomes the gradient; a sparse one lands in a zeroed
+/// matrix.
+fn accumulate(slot: &mut Option<Matrix>, shape: (usize, usize), g: Grad) {
+    match (slot, g) {
+        (Some(acc), Grad::Dense(g)) => acc.add_assign(&g),
+        (slot @ None, Grad::Dense(g)) => *slot = Some(g),
+        (slot, Grad::Rows { rows, sums }) => {
+            let acc = slot.get_or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+            for (k, &r) in rows.iter().enumerate() {
+                for (o, &x) in acc.row_mut(r).iter_mut().zip(sums.row(k)) {
+                    *o += x;
+                }
+            }
+        }
+    }
 }
 
 /// A single-use computation graph.
 pub struct Tape {
     nodes: Vec<Node>,
+    /// Per-node gradients, filled by [`Tape::backward`].
+    grads: Vec<Option<Matrix>>,
     param_cache: HashMap<ParamId, Var>,
+    /// Node ranges recorded by [`Tape::segment`], in record order.
+    segments: Vec<Range<usize>>,
+    /// First node of the segment being recorded, if one is open.
+    open_segment: Option<usize>,
     /// When false, `dropout` is the identity (inference mode).
     pub train: bool,
 }
@@ -770,15 +826,22 @@ impl Default for Tape {
 impl Record for Tape {
     fn record(&mut self, timer: Option<OpTimer>, value: Matrix, op: impl FnOnce() -> Op) -> Var {
         let op = op();
+        if let Some(start) = self.open_segment {
+            op.for_each_input(|v| {
+                if v.0 < start && !self.is_leaf(v) {
+                    reject(TapeError::OutsideSegment {
+                        op: op.name(),
+                        var: v.0,
+                    });
+                }
+            });
+        }
         if let Some(t) = timer {
             t.finish(op.index(), value.len());
         }
         NODES_PUSHED.with(|c| c.set(c.get() + 1));
-        self.nodes.push(Node {
-            value,
-            grad: None,
-            op,
-        });
+        self.nodes.push(Node { value, op });
+        self.grads.push(None);
         Var(self.nodes.len() - 1)
     }
 
@@ -825,7 +888,10 @@ impl Tape {
     pub fn new() -> Self {
         Tape {
             nodes: Vec::with_capacity(256),
+            grads: Vec::with_capacity(256),
             param_cache: HashMap::new(),
+            segments: Vec::new(),
+            open_segment: None,
             train: true,
         }
     }
@@ -849,7 +915,7 @@ impl Tape {
 
     /// The gradient of `v` after [`Tape::backward`]; zeros if unused.
     pub fn grad(&self, v: Var) -> Matrix {
-        match &self.nodes[v.0].grad {
+        match &self.grads[v.0] {
             Some(g) => g.clone(),
             None => {
                 let (r, c) = self.nodes[v.0].value.shape();
@@ -867,7 +933,9 @@ impl Tape {
 
     /// The vars `v` was computed from (empty for leaves).
     pub fn inputs(&self, v: Var) -> Vec<Var> {
-        self.nodes[v.0].op.inputs()
+        let mut out = Vec::new();
+        self.nodes[v.0].op.for_each_input(|x| out.push(x));
+        out
     }
 
     /// Forward shape of `v`.
@@ -978,15 +1046,34 @@ impl Tape {
         })
     }
 
-    fn add_grad(&mut self, v: Var, g: Matrix) {
-        match &mut self.nodes[v.0].grad {
-            Some(existing) => existing.add_assign(&g),
-            slot @ None => *slot = Some(g),
-        }
+    /// Record the ops `f` runs as one segment of the tape, and return what
+    /// `f` returns. A segment is typically one example's forward in a
+    /// batch.
+    ///
+    /// [`Tape::backward`] runs adjacent segments on the `em-pool` workers
+    /// (`--threads`), and every var still gets the gradient it would get
+    /// without segments, bit for bit. An op inside a segment may read a
+    /// leaf from anywhere, but a non-leaf var only from its own segment.
+    /// Any other read panics with the [`TapeError`] text when the op is
+    /// recorded. Segments do not nest.
+    pub fn segment<R>(&mut self, f: impl FnOnce(&mut Tape) -> R) -> R {
+        assert!(self.open_segment.is_none(), "tape segments do not nest");
+        let start = self.nodes.len();
+        self.open_segment = Some(start);
+        let out = f(self);
+        self.open_segment = None;
+        self.segments.push(start..self.nodes.len());
+        out
     }
 
     /// Run reverse-mode differentiation from scalar `loss`. Panics with the
     /// [`TapeError`] text if `loss` is not `1x1`.
+    ///
+    /// The walk goes from `loss` down. Nodes outside segments run serially
+    /// on the caller's thread. Each run of adjacent segments starts once
+    /// every node above it is done; its segments then run on the pool.
+    /// Contributions to leaves come back to the caller, who adds them in
+    /// the order a walk without segments adds them (DESIGN §17).
     pub fn backward(&mut self, loss: Var) {
         // Timing is telemetry-gated so the hot path stays free of clock
         // reads when no sink is active.
@@ -1001,25 +1088,21 @@ impl Tape {
         }
         let sanitize = sanitize_enabled();
         let profiling = op_profile_enabled();
-        self.nodes[loss.0].grad = Some(Matrix::scalar(1.0));
-        for i in (0..=loss.0).rev() {
-            let g = match self.nodes[i].grad.take() {
-                Some(g) => g,
-                None => continue,
-            };
-            if sanitize {
-                self.sanitize_node(i, Some(&g));
+        self.grads[loss.0] = Some(Matrix::scalar(1.0));
+        let segments = self.segments.clone();
+        let mut top = loss.0 + 1;
+        let mut below = &segments[..segments.partition_point(|s| s.end <= top)];
+        while let Some(last) = below.last() {
+            let mut first = below.len() - 1;
+            while first > 0 && below[first - 1].end == below[first].start {
+                first -= 1;
             }
-            if profiling {
-                let sw = em_obs::Stopwatch::new();
-                let idx = self.nodes[i].op.index();
-                self.backprop_node(i, &g);
-                OP_TABLE.record_bwd(idx, (sw.secs() * 1e9) as u64);
-            } else {
-                self.backprop_node(i, &g);
-            }
-            self.nodes[i].grad = Some(g);
+            self.backprop_serial(last.end..top, sanitize, profiling);
+            self.backprop_segments(&below[first..], sanitize, profiling);
+            top = below[first].start;
+            below = &below[..first];
         }
+        self.backprop_serial(0..top, sanitize, profiling);
         if let Some(sw) = timed {
             use std::sync::OnceLock;
             static BACKWARD_SECS: OnceLock<em_obs::metrics::Histogram> = OnceLock::new();
@@ -1042,34 +1125,104 @@ impl Tape {
             .add(self.param_cache.len() as u64);
     }
 
-    /// Check one node's value (and, if present, gradient) buffers for
-    /// NaN/Inf and emit a `non_finite` event per bad buffer. Returns true
-    /// when everything is finite.
-    fn sanitize_node(&self, i: usize, grad: Option<&Matrix>) -> bool {
-        fn count_bad(m: &Matrix) -> u64 {
-            m.data().iter().filter(|x| !x.is_finite()).count() as u64
+    /// The walk over `range`, top down, on the caller's thread.
+    fn backprop_serial(&mut self, range: Range<usize>, sanitize: bool, profiling: bool) {
+        let Tape { nodes, grads, .. } = self;
+        for i in range.rev() {
+            let Some(g) = grads[i].take() else {
+                continue;
+            };
+            if sanitize {
+                check_finite(&nodes[i], i, Some(&g));
+            }
+            let sw = profiling.then(em_obs::Stopwatch::new);
+            backprop(nodes, i, &g, |v, c| {
+                accumulate(&mut grads[v.0], nodes[v.0].value.shape(), c);
+            });
+            if let Some(sw) = sw {
+                OP_TABLE.record_bwd(nodes[i].op.index(), (sw.secs() * 1e9) as u64);
+            }
+            grads[i] = Some(g);
         }
-        let node = &self.nodes[i];
-        let mut clean = true;
-        let bad = count_bad(&node.value);
-        if bad > 0 {
-            clean = false;
-            em_obs::non_finite(
-                node.op.name(),
-                i as u64,
-                "value",
-                bad,
-                node.value.len() as u64,
-            );
-        }
-        if let Some(g) = grad {
-            let bad = count_bad(g);
-            if bad > 0 {
-                clean = false;
-                em_obs::non_finite(node.op.name(), i as u64, "grad", bad, g.len() as u64);
+    }
+
+    /// Walk the adjacent segments `group` on the pool, then add each
+    /// segment's leaf contributions, from the last segment to the first.
+    fn backprop_segments(&mut self, group: &[Range<usize>], sanitize: bool, profiling: bool) {
+        let tape = &*self;
+        let walked = em_pool::run_sharded(em_pool::threads(), group.len(), |k| {
+            tape.backprop_segment(group[k].clone(), profiling)
+        });
+        for (seg, (local, to_leaves)) in group.iter().zip(walked).rev() {
+            // Walked gradients replace their seeds. Leaf slots come back
+            // empty and keep what the walk above added to them.
+            for (slot, g) in self.grads[seg.clone()].iter_mut().zip(local) {
+                if g.is_some() {
+                    *slot = g;
+                }
+            }
+            for (v, g) in to_leaves {
+                accumulate(&mut self.grads[v.0], self.nodes[v.0].value.shape(), g);
+            }
+            // Each node of `seg` now holds the gradient a walk without
+            // segments holds when it visits the node: check and count the
+            // visits here, in that walk's order.
+            for i in seg.clone().rev() {
+                let Some(g) = &self.grads[i] else {
+                    continue;
+                };
+                if sanitize {
+                    check_finite(&self.nodes[i], i, Some(g));
+                }
+                if profiling && self.is_leaf(Var(i)) {
+                    OP_TABLE.record_bwd(Op::Leaf.index(), 0);
+                }
             }
         }
-        clean
+    }
+
+    /// One segment's walk, on a pool worker. Returns the gradients of the
+    /// segment's non-leaf nodes, and its contributions to leaves in the
+    /// order the walk made them. They stay separate: adding two of them
+    /// here would change the order of the additions.
+    fn backprop_segment(
+        &self,
+        seg: Range<usize>,
+        profiling: bool,
+    ) -> (Vec<Option<Matrix>>, Vec<(Var, Grad)>) {
+        // What the walk above put into the segment seeds it; leaf slots
+        // belong to the caller.
+        let mut local: Vec<Option<Matrix>> = seg
+            .clone()
+            .map(|i| {
+                if self.is_leaf(Var(i)) {
+                    None
+                } else {
+                    self.grads[i].clone()
+                }
+            })
+            .collect();
+        let mut to_leaves = Vec::new();
+        for i in seg.clone().rev() {
+            let Some(g) = local[i - seg.start].take() else {
+                continue;
+            };
+            let sw = profiling.then(em_obs::Stopwatch::new);
+            backprop(&self.nodes, i, &g, |v, c| {
+                if self.is_leaf(v) {
+                    to_leaves.push((v, c));
+                } else {
+                    // Recording kept every non-leaf input in the segment.
+                    let shape = self.nodes[v.0].value.shape();
+                    accumulate(&mut local[v.0 - seg.start], shape, c);
+                }
+            });
+            if let Some(sw) = sw {
+                OP_TABLE.record_bwd(self.nodes[i].op.index(), (sw.secs() * 1e9) as u64);
+            }
+            local[i - seg.start] = Some(g);
+        }
+        (local, to_leaves)
     }
 
     /// Sanitizer sweep over every recorded value buffer (no gradients
@@ -1077,230 +1230,269 @@ impl Tape {
     /// the number of nodes with at least one non-finite element.
     pub fn sanitize_values(&self) -> usize {
         (0..self.nodes.len())
-            .filter(|&i| !self.sanitize_node(i, None))
+            .filter(|&i| !check_finite(&self.nodes[i], i, None))
             .count()
-    }
-
-    fn backprop_node(&mut self, i: usize, g: &Matrix) {
-        // Split borrows: read the op by pointer, mutate grads via add_grad.
-        // Ops are cheap to match; values needed for backward are cloned or
-        // recomputed locally.
-        let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
-        match &op {
-            Op::Leaf => {}
-            Op::Matmul(a, b) => {
-                let (a, b) = (*a, *b);
-                let da = g.matmul_nt(&self.nodes[b.0].value);
-                let db = self.nodes[a.0].value.matmul_tn(g);
-                self.add_grad(a, da);
-                self.add_grad(b, db);
-            }
-            Op::Add(a, b) => {
-                self.add_grad(*a, g.clone());
-                self.add_grad(*b, g.clone());
-            }
-            Op::AddRowBroadcast(a, b) => {
-                self.add_grad(*a, g.clone());
-                // Sum over rows into a (1,C) gradient.
-                let mut db = Matrix::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *o += x;
-                    }
-                }
-                self.add_grad(*b, db);
-            }
-            Op::Sub(a, b) => {
-                self.add_grad(*a, g.clone());
-                self.add_grad(*b, g.scale(-1.0));
-            }
-            Op::Mul(a, b) => {
-                let (a, b) = (*a, *b);
-                let da = g.hadamard(&self.nodes[b.0].value);
-                let db = g.hadamard(&self.nodes[a.0].value);
-                self.add_grad(a, da);
-                self.add_grad(b, db);
-            }
-            Op::Scale(a, c) => self.add_grad(*a, g.scale(*c)),
-            Op::GradReverse(a, lambda) => self.add_grad(*a, g.scale(-*lambda)),
-            Op::Transpose(a) => self.add_grad(*a, g.transpose()),
-            Op::AddConst(a) => self.add_grad(*a, g.clone()),
-            Op::Tanh(a) => {
-                let y = &self.nodes[i].value;
-                let da = Matrix::from_fn(y.rows(), y.cols(), |r, c| {
-                    let t = y.get(r, c);
-                    g.get(r, c) * (1.0 - t * t)
-                });
-                self.add_grad(*a, da);
-            }
-            Op::Sigmoid(a) => {
-                let y = &self.nodes[i].value;
-                let da = Matrix::from_fn(y.rows(), y.cols(), |r, c| {
-                    let s = y.get(r, c);
-                    g.get(r, c) * s * (1.0 - s)
-                });
-                self.add_grad(*a, da);
-            }
-            Op::Gelu(a) => {
-                let x = &self.nodes[a.0].value;
-                let data = x.data().iter().zip(g.data()).map(|(&x, &g)| g * gelu_dx(x));
-                let da = Matrix::from_vec(x.rows(), x.cols(), data.collect());
-                self.add_grad(*a, da);
-            }
-            Op::Relu(a) => {
-                let x = &self.nodes[a.0].value;
-                let da = Matrix::from_fn(x.rows(), x.cols(), |r, c| {
-                    if x.get(r, c) > 0.0 {
-                        g.get(r, c)
-                    } else {
-                        0.0
-                    }
-                });
-                self.add_grad(*a, da);
-            }
-            Op::SoftmaxRows(a) => {
-                let y = &self.nodes[i].value;
-                let mut da = Matrix::zeros(y.rows(), y.cols());
-                for r in 0..y.rows() {
-                    let dot: f32 = y.row(r).iter().zip(g.row(r)).map(|(a, b)| a * b).sum();
-                    for c in 0..y.cols() {
-                        da.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
-                    }
-                }
-                self.add_grad(*a, da);
-            }
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                eps,
-            } => {
-                let (xm, gm) = (&self.nodes[x.0].value, self.nodes[gamma.0].value.row(0));
-                let (rows, cols) = xm.shape();
-                let mut dx = Matrix::zeros(rows, cols);
-                let mut dgamma = vec![0.0f32; cols];
-                let mut dbeta = vec![0.0f32; cols];
-                let mut normed = vec![0.0f32; cols];
-                let mut dyh = vec![0.0f32; cols];
-                for r in 0..rows {
-                    // The forward's normalized row, recomputed bit for bit
-                    // from `x` with the forward's own statistics.
-                    let (mean, istd) = layer_norm_stats(xm.row(r), *eps);
-                    for (n, &xv) in normed.iter_mut().zip(xm.row(r)) {
-                        *n = (xv - mean) * istd;
-                    }
-                    // dy-hat = g * gamma; standard layernorm backward per row.
-                    for (c, &gv) in g.row(r).iter().enumerate() {
-                        dyh[c] = gv * gm[c];
-                        dgamma[c] += gv * normed[c];
-                        dbeta[c] += gv;
-                    }
-                    let mean_dyh = dyh.iter().sum::<f32>() / cols as f32;
-                    let mean_dyh_n =
-                        dyh.iter().zip(&normed).map(|(&d, &n)| d * n).sum::<f32>() / cols as f32;
-                    for ((o, &d), &n) in dx.row_mut(r).iter_mut().zip(&dyh).zip(&normed) {
-                        *o = istd * (d - mean_dyh - n * mean_dyh_n);
-                    }
-                }
-                self.add_grad(*x, dx);
-                self.add_grad(*gamma, Matrix::row_vector(dgamma));
-                self.add_grad(*beta, Matrix::row_vector(dbeta));
-            }
-            Op::GatherRows { src, idx } => {
-                let (rows, cols) = self.nodes[src.0].value.shape();
-                let mut da = Matrix::zeros(rows, cols);
-                for (out_r, &src_r) in idx.iter().enumerate() {
-                    for (o, &x) in da.row_mut(src_r).iter_mut().zip(g.row(out_r)) {
-                        *o += x;
-                    }
-                }
-                self.add_grad(*src, da);
-            }
-            Op::Dropout { x, mask } => self.add_grad(*x, g.hadamard(mask)),
-            Op::ConcatRows(parts) => {
-                let mut start = 0;
-                for &p in parts {
-                    let rows = self.nodes[p.0].value.rows();
-                    self.add_grad(p, g.slice_rows(start, rows));
-                    start += rows;
-                }
-            }
-            Op::ConcatCols(parts) => {
-                let mut start = 0;
-                for &p in parts {
-                    let cols = self.nodes[p.0].value.cols();
-                    self.add_grad(p, g.slice_cols(start, cols));
-                    start += cols;
-                }
-            }
-            Op::SliceRows { x, start } => {
-                let (rows, cols) = self.nodes[x.0].value.shape();
-                let mut da = Matrix::zeros(rows, cols);
-                for r in 0..g.rows() {
-                    da.row_mut(start + r).copy_from_slice(g.row(r));
-                }
-                self.add_grad(*x, da);
-            }
-            Op::SliceCols { x, start } => {
-                let (rows, cols) = self.nodes[x.0].value.shape();
-                let mut da = Matrix::zeros(rows, cols);
-                for r in 0..g.rows() {
-                    da.row_mut(r)[*start..start + g.cols()].copy_from_slice(g.row(r));
-                }
-                self.add_grad(*x, da);
-            }
-            Op::MeanRows(x) => {
-                let rows = self.nodes[x.0].value.rows();
-                let inv = 1.0 / rows as f32;
-                let da = Matrix::from_fn(rows, g.cols(), |_, c| g.get(0, c) * inv);
-                self.add_grad(*x, da);
-            }
-            Op::MeanAll(x) => {
-                let (rows, cols) = self.nodes[x.0].value.shape();
-                let v = g.item() / (rows * cols) as f32;
-                self.add_grad(*x, Matrix::full(rows, cols, v));
-            }
-            Op::CrossEntropy {
-                logits,
-                targets,
-                probs,
-            } => {
-                let gs = g.item() / targets.len() as f32;
-                let mut da = probs.scale(gs);
-                for (r, &t) in targets.iter().enumerate() {
-                    let cur = da.get(r, t);
-                    da.set(r, t, cur - gs);
-                }
-                self.add_grad(*logits, da);
-            }
-            Op::NllProbs { probs, targets } => {
-                let pm = &self.nodes[probs.0].value;
-                let gs = g.item() / targets.len() as f32;
-                let mut da = Matrix::zeros(pm.rows(), pm.cols());
-                for (r, &t) in targets.iter().enumerate() {
-                    da.set(r, t, -gs / pm.get(r, t).max(1e-12));
-                }
-                self.add_grad(*probs, da);
-            }
-            Op::MseLoss { pred, target } => {
-                let pm = &self.nodes[pred.0].value;
-                let c = 2.0 * g.item() / pm.len() as f32;
-                let da = pm.sub(target).scale(c);
-                self.add_grad(*pred, da);
-            }
-        }
-        self.nodes[i].op = op;
     }
 
     /// Fold parameter-leaf gradients back into the store's grad buffers.
     /// Call after [`Tape::backward`].
     pub fn accumulate_param_grads(&self, store: &mut ParamStore) {
         for (&id, &var) in &self.param_cache {
-            if let Some(g) = &self.nodes[var.0].grad {
+            if let Some(g) = &self.grads[var.0] {
                 store.grad_mut(id).add_assign(g);
             }
         }
     }
+}
+
+impl From<Matrix> for Grad {
+    fn from(m: Matrix) -> Self {
+        Grad::Dense(m)
+    }
+}
+
+/// Node `i`'s backward: given its gradient `g`, hand each input its
+/// contribution through `emit`, in the order the walk adds them.
+fn backprop(nodes: &[Node], i: usize, g: &Matrix, mut emit: impl FnMut(Var, Grad)) {
+    match &nodes[i].op {
+        Op::Leaf => {}
+        Op::Matmul(a, b) => {
+            let (a, b) = (*a, *b);
+            let da = g.matmul_nt(&nodes[b.0].value);
+            let db = nodes[a.0].value.matmul_tn(g);
+            emit(a, da.into());
+            emit(b, db.into());
+        }
+        Op::Add(a, b) => {
+            emit(*a, g.clone().into());
+            emit(*b, g.clone().into());
+        }
+        Op::AddRowBroadcast(a, b) => {
+            emit(*a, g.clone().into());
+            // Sum over rows into a (1,C) gradient.
+            let mut db = Matrix::zeros(1, g.cols());
+            for r in 0..g.rows() {
+                for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                    *o += x;
+                }
+            }
+            emit(*b, db.into());
+        }
+        Op::Sub(a, b) => {
+            emit(*a, g.clone().into());
+            emit(*b, g.scale(-1.0).into());
+        }
+        Op::Mul(a, b) => {
+            let (a, b) = (*a, *b);
+            let da = g.hadamard(&nodes[b.0].value);
+            let db = g.hadamard(&nodes[a.0].value);
+            emit(a, da.into());
+            emit(b, db.into());
+        }
+        Op::Scale(a, c) => emit(*a, g.scale(*c).into()),
+        Op::GradReverse(a, lambda) => emit(*a, g.scale(-*lambda).into()),
+        Op::Transpose(a) => emit(*a, g.transpose().into()),
+        Op::AddConst(a) => emit(*a, g.clone().into()),
+        Op::Tanh(a) => {
+            let y = &nodes[i].value;
+            let da = Matrix::from_fn(y.rows(), y.cols(), |r, c| {
+                let t = y.get(r, c);
+                g.get(r, c) * (1.0 - t * t)
+            });
+            emit(*a, da.into());
+        }
+        Op::Sigmoid(a) => {
+            let y = &nodes[i].value;
+            let da = Matrix::from_fn(y.rows(), y.cols(), |r, c| {
+                let s = y.get(r, c);
+                g.get(r, c) * s * (1.0 - s)
+            });
+            emit(*a, da.into());
+        }
+        Op::Gelu(a) => {
+            let x = &nodes[a.0].value;
+            let data = x.data().iter().zip(g.data()).map(|(&x, &g)| g * gelu_dx(x));
+            let da = Matrix::from_vec(x.rows(), x.cols(), data.collect());
+            emit(*a, da.into());
+        }
+        Op::Relu(a) => {
+            let x = &nodes[a.0].value;
+            let da = Matrix::from_fn(x.rows(), x.cols(), |r, c| {
+                if x.get(r, c) > 0.0 {
+                    g.get(r, c)
+                } else {
+                    0.0
+                }
+            });
+            emit(*a, da.into());
+        }
+        Op::SoftmaxRows(a) => {
+            let y = &nodes[i].value;
+            let mut da = Matrix::zeros(y.rows(), y.cols());
+            for r in 0..y.rows() {
+                let dot: f32 = y.row(r).iter().zip(g.row(r)).map(|(a, b)| a * b).sum();
+                for c in 0..y.cols() {
+                    da.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
+                }
+            }
+            emit(*a, da.into());
+        }
+        Op::LayerNorm {
+            x,
+            gamma,
+            beta,
+            eps,
+        } => {
+            let (xm, gm) = (&nodes[x.0].value, nodes[gamma.0].value.row(0));
+            let (rows, cols) = xm.shape();
+            let mut dx = Matrix::zeros(rows, cols);
+            let mut dgamma = vec![0.0f32; cols];
+            let mut dbeta = vec![0.0f32; cols];
+            let mut normed = vec![0.0f32; cols];
+            let mut dyh = vec![0.0f32; cols];
+            for r in 0..rows {
+                // The forward's normalized row, recomputed bit for bit
+                // from `x` with the forward's own statistics.
+                let (mean, istd) = layer_norm_stats(xm.row(r), *eps);
+                for (n, &xv) in normed.iter_mut().zip(xm.row(r)) {
+                    *n = (xv - mean) * istd;
+                }
+                // dy-hat = g * gamma; standard layernorm backward per row.
+                for (c, &gv) in g.row(r).iter().enumerate() {
+                    dyh[c] = gv * gm[c];
+                    dgamma[c] += gv * normed[c];
+                    dbeta[c] += gv;
+                }
+                let mean_dyh = dyh.iter().sum::<f32>() / cols as f32;
+                let mean_dyh_n =
+                    dyh.iter().zip(&normed).map(|(&d, &n)| d * n).sum::<f32>() / cols as f32;
+                for ((o, &d), &n) in dx.row_mut(r).iter_mut().zip(&dyh).zip(&normed) {
+                    *o = istd * (d - mean_dyh - n * mean_dyh_n);
+                }
+            }
+            emit(*x, dx.into());
+            emit(*gamma, Matrix::row_vector(dgamma).into());
+            emit(*beta, Matrix::row_vector(dbeta).into());
+        }
+        Op::GatherRows { src, idx } => {
+            // Each distinct source row's gradient, summed from +0.0 in
+            // output order: the dense scatter's sums, without zeroing and
+            // adding a whole `(V, d)` table per lookup (DESIGN §17).
+            let mut rows = idx.clone();
+            rows.sort_unstable();
+            rows.dedup();
+            let mut sums = Matrix::zeros(rows.len(), g.cols());
+            for (out_r, src_r) in idx.iter().enumerate() {
+                // `rows` holds every index of `idx`: the search always hits.
+                let (Ok(k) | Err(k)) = rows.binary_search(src_r);
+                for (o, &x) in sums.row_mut(k).iter_mut().zip(g.row(out_r)) {
+                    *o += x;
+                }
+            }
+            emit(*src, Grad::Rows { rows, sums });
+        }
+        Op::Dropout { x, mask } => emit(*x, g.hadamard(mask).into()),
+        Op::ConcatRows(parts) => {
+            let mut start = 0;
+            for &p in parts {
+                let rows = nodes[p.0].value.rows();
+                emit(p, g.slice_rows(start, rows).into());
+                start += rows;
+            }
+        }
+        Op::ConcatCols(parts) => {
+            let mut start = 0;
+            for &p in parts {
+                let cols = nodes[p.0].value.cols();
+                emit(p, g.slice_cols(start, cols).into());
+                start += cols;
+            }
+        }
+        Op::SliceRows { x, start } => {
+            let (rows, cols) = nodes[x.0].value.shape();
+            let mut da = Matrix::zeros(rows, cols);
+            for r in 0..g.rows() {
+                da.row_mut(start + r).copy_from_slice(g.row(r));
+            }
+            emit(*x, da.into());
+        }
+        Op::SliceCols { x, start } => {
+            let (rows, cols) = nodes[x.0].value.shape();
+            let mut da = Matrix::zeros(rows, cols);
+            for r in 0..g.rows() {
+                da.row_mut(r)[*start..start + g.cols()].copy_from_slice(g.row(r));
+            }
+            emit(*x, da.into());
+        }
+        Op::MeanRows(x) => {
+            let rows = nodes[x.0].value.rows();
+            let inv = 1.0 / rows as f32;
+            let da = Matrix::from_fn(rows, g.cols(), |_, c| g.get(0, c) * inv);
+            emit(*x, da.into());
+        }
+        Op::MeanAll(x) => {
+            let (rows, cols) = nodes[x.0].value.shape();
+            let v = g.item() / (rows * cols) as f32;
+            emit(*x, Matrix::full(rows, cols, v).into());
+        }
+        Op::CrossEntropy {
+            logits,
+            targets,
+            probs,
+        } => {
+            let gs = g.item() / targets.len() as f32;
+            let mut da = probs.scale(gs);
+            for (r, &t) in targets.iter().enumerate() {
+                let cur = da.get(r, t);
+                da.set(r, t, cur - gs);
+            }
+            emit(*logits, da.into());
+        }
+        Op::NllProbs { probs, targets } => {
+            let pm = &nodes[probs.0].value;
+            let gs = g.item() / targets.len() as f32;
+            let mut da = Matrix::zeros(pm.rows(), pm.cols());
+            for (r, &t) in targets.iter().enumerate() {
+                da.set(r, t, -gs / pm.get(r, t).max(1e-12));
+            }
+            emit(*probs, da.into());
+        }
+        Op::MseLoss { pred, target } => {
+            let pm = &nodes[pred.0].value;
+            let c = 2.0 * g.item() / pm.len() as f32;
+            let da = pm.sub(target).scale(c);
+            emit(*pred, da.into());
+        }
+    }
+}
+
+/// Check a node's value (and, if given, its gradient) for NaN/Inf and emit
+/// a `non_finite` event per bad buffer; `i` is the node's index. Returns
+/// true when everything is finite.
+fn check_finite(node: &Node, i: usize, grad: Option<&Matrix>) -> bool {
+    fn count_bad(m: &Matrix) -> u64 {
+        m.data().iter().filter(|x| !x.is_finite()).count() as u64
+    }
+    let mut clean = true;
+    let bad = count_bad(&node.value);
+    if bad > 0 {
+        clean = false;
+        em_obs::non_finite(
+            node.op.name(),
+            i as u64,
+            "value",
+            bad,
+            node.value.len() as u64,
+        );
+    }
+    if let Some(g) = grad {
+        let bad = count_bad(g);
+        if bad > 0 {
+            clean = false;
+            em_obs::non_finite(node.op.name(), i as u64, "grad", bad, g.len() as u64);
+        }
+    }
+    clean
 }
 
 // ---------------------------------------------------------------------------
@@ -2110,6 +2302,23 @@ mod tests {
             assert_eq!(&taped, want, "recording tape, case {case}");
             assert_eq!(&free, want, "tape-free executor, case {case}");
         }
+    }
+
+    #[test]
+    fn a_segment_reading_another_segments_var_panics() {
+        let mut tape = Tape::new();
+        let x = tape.constant(test_input());
+        // Leaves may be read from any segment; non-leaf vars may not.
+        let h = tape.segment(|t| t.tanh(x));
+        tape.segment(|t| t.sigmoid(x));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tape.segment(|t| t.relu(h));
+        }))
+        .expect_err("reading another segment's var must panic");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("tape op `relu`: reads node 1, a non-leaf var outside its segment")
+        );
     }
 
     #[test]

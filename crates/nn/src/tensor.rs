@@ -118,11 +118,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, yielding its buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     #[inline]
     /// Element at `(r, c)`.
     pub fn get(&self, r: usize, c: usize) -> f32 {

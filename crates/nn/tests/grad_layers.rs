@@ -122,7 +122,7 @@ fn feedforward_gradients_are_correct() {
     let mut store = ParamStore::new();
     let ffn = FeedForward::new(&mut store, "f", 6, 12, 0.0, &mut rng);
     let x = probe_input(3, 6);
-    for param in [ffn.fc1.w, ffn.fc2.w, ffn.fc1.b.unwrap(), ffn.fc2.b.unwrap()] {
+    for param in [ffn.fc1.w, ffn.fc2.w, ffn.fc1.b, ffn.fc2.b] {
         let ffn_ref = &ffn;
         let x_ref = x.clone();
         let mut rng2 = StdRng::seed_from_u64(6);
@@ -152,7 +152,7 @@ fn linear_bias_gradient_is_row_summed() {
     tape.backward(loss);
     tape.accumulate_param_grads(&mut store);
     // d mean(y) / d b[j] = 4 rows * (1/8) per element = 0.5 each.
-    let g = store.grad(lin.b.unwrap());
+    let g = store.grad(lin.b);
     for &v in g.data() {
         assert!((v - 0.5).abs() < 1e-5, "{v}");
     }

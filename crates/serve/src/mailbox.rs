@@ -129,11 +129,6 @@ impl<T> Mailbox<T> {
         lock(&self.inner.state).closed = true;
         self.inner.cv.notify_all();
     }
-
-    /// Whether [`Mailbox::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        lock(&self.inner.state).closed
-    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,9 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> training pins on two pool threads (segmented backward runs in parallel)"
+PROMPTEM_THREADS=2 cargo test --release -q -p em-lm -p promptem
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -30,7 +33,7 @@ PROMPTEM_SCHED_SEEDS=64 cargo test --release -q -p promptem --test sched_pool
 echo "==> mathf libm parity (tanh and exp vs the host libm on all 2^32 inputs, 2 threads)"
 cargo test --release -q -p em-nn --lib mathf -- --ignored --nocapture
 
-echo "==> sanitizer smoke (PROMPTEM_SANITIZE=1 tiny pipeline)"
+echo "==> sanitizer smoke (PROMPTEM_SANITIZE=1 tiny pipeline, 2 threads)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run --release -q -p promptem-cli --bin promptem -- \
@@ -38,7 +41,7 @@ cargo run --release -q -p promptem-cli --bin promptem -- \
 PROMPTEM_SANITIZE=1 cargo run --release -q -p promptem-cli --bin promptem -- \
     match --left "$smoke_dir/left.csv" --right "$smoke_dir/right.csv" \
     --labels "$smoke_dir/train.csv" --seed 7 --trace warn \
-    --pretrain-steps 20 --epochs 1 >/dev/null
+    --pretrain-steps 20 --epochs 1 --threads 2 >/dev/null
 
 echo "==> smoke profile (op-profiled traced runs + perf-regression gate)"
 for run in base new; do
@@ -66,7 +69,7 @@ grep -q '"op": "matmul"' "$smoke_dir/BENCH_report.json" || {
 cargo run --release -q -p promptem-cli --bin promptem -- \
     report --diff "$smoke_dir/new.jsonl" "$smoke_dir/new.jsonl" >/dev/null
 
-echo "==> parallel scoring (tape-free smoke + 1-vs-2-thread canonical gate)"
+echo "==> parallel training and scoring (tape-free smoke + 1-vs-2-thread canonical gate)"
 for t in 1 2; do
     cargo run --release -q -p promptem-cli --bin promptem -- \
         match --left "$smoke_dir/left.csv" --right "$smoke_dir/right.csv" \
