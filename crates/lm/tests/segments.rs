@@ -4,9 +4,22 @@
 
 use em_lm::prompt::{LabelWords, PromptMode, PromptTemplate, TemplateId, Verbalizer};
 use em_lm::{Encoder, LmConfig, MlmHead, Tokenizer};
-use em_nn::{ParamStore, Tape, TapeExec};
+use em_nn::{Matrix, ParamStore, Tape, TapeExec};
+use em_obs::EventKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+
+/// Run `f` with `threads` pool threads. The setting is process-wide, so
+/// the tests here take turns.
+fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static POOL: Mutex<()> = Mutex::new(());
+    let _turn = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    em_pool::set_threads(threads);
+    let out = f();
+    em_pool::set_threads(0);
+    out
+}
 
 /// A prompt-tuning batch step's forward and backward, the way
 /// `PromptEmModel::batch_step` records it, with or without one segment per
@@ -69,11 +82,50 @@ fn segments_change_no_gradient_bit_at_one_or_two_threads() {
         "the batch must reach the parameters"
     );
     for threads in [1, 2] {
-        em_pool::set_threads(threads);
-        let segmented = batch_grads(true);
-        em_pool::set_threads(0);
+        let segmented = at_threads(threads, || batch_grads(true));
         for (i, (s, p)) in segmented.iter().zip(&plain).enumerate() {
             assert_eq!(s, p, "parameter {i} at {threads} threads");
         }
+    }
+}
+
+/// The sanitizer's `(op, node, stage)` findings, in emission order, for a
+/// backward whose values and gradients hold NaN.
+fn nan_findings(segmented: bool) -> Vec<(String, u64, String)> {
+    let mut tape = Tape::new();
+    let x = tape.constant(Matrix::from_vec(2, 2, vec![0.5, f32::NAN, -1.0, 2.0]));
+    let mut rows = Vec::new();
+    for k in 1..=3 {
+        let example = |tape: &mut Tape| {
+            let y = tape.scale(x, k as f32);
+            tape.tanh(y)
+        };
+        rows.push(match segmented {
+            true => tape.segment(example),
+            false => example(&mut tape),
+        });
+    }
+    let stacked = tape.concat_rows(&rows);
+    let loss = tape.mean_all(stacked);
+    em_nn::tape::set_sanitize(true);
+    let ((), events) = em_obs::capture(|| tape.backward(loss));
+    em_nn::tape::set_sanitize(false);
+    events
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::NonFinite {
+                op, node, stage, ..
+            } => Some((op, node, stage)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn segment_findings_come_from_the_caller_in_walk_order() {
+    let plain = nan_findings(false);
+    assert!(plain.len() > 8, "{plain:?}");
+    for threads in [1, 2] {
+        assert_eq!(at_threads(threads, || nan_findings(true)), plain);
     }
 }

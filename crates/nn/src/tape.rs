@@ -1135,13 +1135,9 @@ impl Tape {
             if sanitize {
                 check_finite(&nodes[i], i, Some(&g));
             }
-            let sw = profiling.then(em_obs::Stopwatch::new);
-            backprop(nodes, i, &g, |v, c| {
+            backprop(nodes, i, &g, profiling, |v, c| {
                 accumulate(&mut grads[v.0], nodes[v.0].value.shape(), c);
             });
-            if let Some(sw) = sw {
-                OP_TABLE.record_bwd(nodes[i].op.index(), (sw.secs() * 1e9) as u64);
-            }
             grads[i] = Some(g);
         }
     }
@@ -1207,8 +1203,7 @@ impl Tape {
             let Some(g) = local[i - seg.start].take() else {
                 continue;
             };
-            let sw = profiling.then(em_obs::Stopwatch::new);
-            backprop(&self.nodes, i, &g, |v, c| {
+            backprop(&self.nodes, i, &g, profiling, |v, c| {
                 if self.is_leaf(v) {
                     to_leaves.push((v, c));
                 } else {
@@ -1217,9 +1212,6 @@ impl Tape {
                     accumulate(&mut local[v.0 - seg.start], shape, c);
                 }
             });
-            if let Some(sw) = sw {
-                OP_TABLE.record_bwd(self.nodes[i].op.index(), (sw.secs() * 1e9) as u64);
-            }
             local[i - seg.start] = Some(g);
         }
         (local, to_leaves)
@@ -1252,8 +1244,16 @@ impl From<Matrix> for Grad {
 }
 
 /// Node `i`'s backward: given its gradient `g`, hand each input its
-/// contribution through `emit`, in the order the walk adds them.
-fn backprop(nodes: &[Node], i: usize, g: &Matrix, mut emit: impl FnMut(Var, Grad)) {
+/// contribution through `emit`, in the order the walk adds them. Timed
+/// into the op profiler's table when `profiling`.
+fn backprop(
+    nodes: &[Node],
+    i: usize,
+    g: &Matrix,
+    profiling: bool,
+    mut emit: impl FnMut(Var, Grad),
+) {
+    let sw = profiling.then(em_obs::Stopwatch::new);
     match &nodes[i].op {
         Op::Leaf => {}
         Op::Matmul(a, b) => {
@@ -1463,6 +1463,9 @@ fn backprop(nodes: &[Node], i: usize, g: &Matrix, mut emit: impl FnMut(Var, Grad
             let da = pm.sub(target).scale(c);
             emit(*pred, da.into());
         }
+    }
+    if let Some(sw) = sw {
+        OP_TABLE.record_bwd(nodes[i].op.index(), (sw.secs() * 1e9) as u64);
     }
 }
 
