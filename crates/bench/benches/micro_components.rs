@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the substrates: serialization, TF-IDF
 //! summarization, tokenization, matmul kernels, the GELU and softmax
-//! kernels, encoder forward, MC-Dropout passes, MC-EL2N scoring and one RWR
-//! power-iteration step.
+//! kernels, encoder forward, one prompt-tuning epoch, MC-Dropout passes,
+//! MC-EL2N scoring and one RWR power-iteration step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use em_data::serialize::serialize;
@@ -139,6 +139,68 @@ fn bench_train_step(c: &mut Criterion) {
     });
 }
 
+/// One prompt-tuning epoch as `lowres_match` runs it, batch steps only:
+/// `PromptEmModel::train` over 32 examples of 39 tokens (16 per entity
+/// plus T2's continuous-template overhead of 7), no validation set, the
+/// tied MLM head and dropout on. The backbone's vocabulary is about
+/// REL-HETER's 5.4k words, so the tied decoder and the verbalizer run at
+/// the paper's shapes.
+fn bench_prompt_train_epoch(c: &mut Criterion) {
+    use promptem::{EncodedPair, Example, PromptEmModel, PromptOpts, TrainCfg, TunableMatcher};
+    // 5,400 distinct three-letter words, each in two corpus lines (the
+    // tokenizer keeps words seen at least twice), plus the template and
+    // label words.
+    let word = |i: usize| -> String {
+        (0..3)
+            .map(|p| (b'a' + (i / 26usize.pow(p) % 26) as u8) as char)
+            .collect()
+    };
+    let mut corpus = Vec::new();
+    for s in 0..540 {
+        let line: Vec<String> = (0..10).map(|j| word(s * 10 + j)).collect();
+        corpus.push(line.join(" "));
+        corpus.push(line.join(" "));
+    }
+    for _ in 0..2 {
+        corpus.push("they are matched similar relevant mismatched different irrelevant".into());
+        corpus.push("this is close to that".into());
+    }
+    let lm = PretrainedLm::pretrain(
+        &corpus,
+        LmConfig::tiny,
+        &PretrainCfg {
+            max_steps: 30,
+            ..Default::default()
+        },
+        6,
+    );
+    let entity = |start: usize| -> Vec<usize> {
+        (0..16)
+            .flat_map(|j| lm.tokenizer.encode(&word(start + 7 * j)))
+            .collect()
+    };
+    let train: Vec<Example> = (0..32)
+        .map(|i| Example {
+            pair: EncodedPair {
+                ids_a: entity(i * 3),
+                ids_b: entity(i * 3 + if i % 2 == 0 { 0 } else { 1 }),
+            },
+            label: i % 2 == 0,
+        })
+        .collect();
+    let cfg = TrainCfg {
+        epochs: 1,
+        ..Default::default()
+    };
+    let model = PromptEmModel::new(std::sync::Arc::new(lm), PromptOpts::default(), 7);
+    c.bench_function("prompt_train_epoch", |b| {
+        b.iter(|| {
+            let mut m = model.clone();
+            black_box(m.train(black_box(&train), &[], &cfg, None))
+        })
+    });
+}
+
 fn bench_rwr_step(c: &mut Criterion) {
     use em_baselines::{MatchTask, Matcher, TDmatchBaseline};
     use promptem::pipeline::{encode_with, pretrain_backbone, PromptEmConfig};
@@ -167,6 +229,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_serialize, bench_summarize, bench_tokenize, bench_matmul,
-              bench_elementwise, bench_encoder_forward, bench_train_step, bench_rwr_step
+              bench_elementwise, bench_encoder_forward, bench_train_step,
+              bench_prompt_train_epoch, bench_rwr_step
 }
 criterion_main!(benches);

@@ -75,6 +75,14 @@ proptest! {
     }
 
     #[test]
+    fn matmul_nt(a in mat(2, 3), b in mat(4, 3)) {
+        check!(&[a, b], |t, vs| {
+            let y = t.matmul_nt(vs[0], vs[1]);
+            weighted_mean(t, y)
+        });
+    }
+
+    #[test]
     fn add(a in mat(2, 3), b in mat(2, 3)) {
         check!(&[a, b], |t, vs| {
             let y = t.add(vs[0], vs[1]);
@@ -226,6 +234,15 @@ proptest! {
     fn slice_cols(a in mat(3, 4)) {
         check!(&[a], |t, vs| {
             let y = t.slice_cols(vs[0], 1, 2);
+            weighted_mean(t, y)
+        });
+    }
+
+    #[test]
+    fn cols_matmul(a in mat(3, 5)) {
+        check!(&[a], |t, vs| {
+            let m = Matrix::from_fn(3, 2, |r, c| (r as f32 - c as f32) * 0.5 + 0.25);
+            let y = t.cols_matmul(vs[0], &[0, 2, 3], &m);
             weighted_mean(t, y)
         });
     }

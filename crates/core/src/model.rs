@@ -51,9 +51,8 @@ impl<'m> Scorer<'m> {
     /// RNG stream. Only the `[MASK]` hidden state feeds the MLM head, so
     /// the forward takes the single-row last-layer path
     /// (`forward_mask_row`) — bit-exact with slicing the full forward,
-    /// including its RNG draw count. The head ends in the verbalizer's
-    /// gather-sum ([`Verbalizer::match_probs`]); training keeps the
-    /// differentiable `class_probs`.
+    /// including its RNG draw count. The head ends in
+    /// [`Verbalizer::match_probs`].
     fn probs(
         &self,
         tape: &mut impl TapeExec,
@@ -215,18 +214,20 @@ impl PromptEmModel {
         let mut rows = Vec::with_capacity(batch.len());
         let mut targets = Vec::with_capacity(batch.len());
         // One tape segment per example, so the backward runs them on the
-        // pool (`Tape::segment`).
+        // pool (`Tape::segment`). The loss reads only the `[MASK]` row, so
+        // the last layer computes only that row: the gradients and the RNG
+        // stream of the full forward, bit for bit (DESIGN §18).
         for ex in batch {
             rows.push(tape.segment(|tape| {
-                let (h, mask_row) = self.template.forward(
+                self.template.forward_mask_row(
                     tape,
                     &self.lm.store,
                     &self.lm.encoder,
                     &ex.pair.ids_a,
                     &ex.pair.ids_b,
+                    None,
                     &mut self.rng,
-                );
-                tape.slice_rows(h, mask_row, 1)
+                )
             }));
             targets.push(Self::target(ex.label));
         }
@@ -746,6 +747,137 @@ mod tests {
             assert_eq!(bits(p1), bits(p3), "stochastic pass diverged");
         }
         assert_eq!(rng1, rng3, "model RNG ended in different states");
+    }
+
+    /// The full training step `batch_step` must equal, written out from
+    /// public ops: the full template forward with its `[MASK]` row sliced
+    /// out, the tied decoder transposed on the tape, and Eq. 1 as the
+    /// dense `(V, 2)` projection.
+    fn full_batch_step(model: &mut PromptEmModel, batch: &[&Example], opt: &mut AdamW) -> f32 {
+        let PromptEmModel {
+            lm,
+            template,
+            verbalizer,
+            rng,
+            ..
+        } = model;
+        lm.store.zero_grads();
+        let (store, mlm) = (&lm.store, &lm.mlm);
+        let mut tape = Tape::new();
+        let mut rows = Vec::new();
+        for ex in batch {
+            rows.push(tape.segment(|tape| {
+                let (a, b) = (&ex.pair.ids_a, &ex.pair.ids_b);
+                let (h, mask_row) = template.forward(tape, store, &lm.encoder, a, b, rng);
+                tape.slice_rows(h, mask_row, 1)
+            }));
+        }
+        let stacked = tape.concat_rows(&rows);
+        let h = mlm.transform.forward(&mut tape, store, stacked);
+        let h = tape.gelu(h);
+        let h = mlm.ln.forward(&mut tape, store, h);
+        let table = tape.param(store, lm.encoder.tok_emb.table);
+        let decoder = tape.transpose(table);
+        let scores = tape.matmul(h, decoder);
+        let bias = tape.param(store, mlm.bias);
+        let logits = tape.add_row_broadcast(scores, bias);
+        let probs = tape.softmax_rows(logits);
+        let mut dense = Matrix::zeros(lm.tokenizer.vocab_size(), 2);
+        for (c, ids) in [&verbalizer.yes_ids, &verbalizer.no_ids]
+            .into_iter()
+            .enumerate()
+        {
+            for &w in ids {
+                dense.set(w, c, 1.0 / ids.len() as f32);
+            }
+        }
+        let dense = tape.constant(dense);
+        let class = tape.matmul(probs, dense);
+        let targets: Vec<usize> = batch
+            .iter()
+            .map(|e| PromptEmModel::target(e.label))
+            .collect();
+        let loss = tape.nll_probs(class, &targets);
+        tape.backward(loss);
+        tape.accumulate_param_grads(&mut lm.store);
+        lm.store.clip_grad_norm(1.0);
+        opt.step(&mut lm.store);
+        tape.value(loss).item()
+    }
+
+    #[test]
+    fn the_training_step_keeps_every_gradient_bit() {
+        let backbone = tiny_backbone();
+        let tok = &backbone.tokenizer;
+        // "alpha" twice in the first example and again in later ones.
+        let batches: Vec<Vec<Example>> = [
+            [
+                ("alpha shop alpha", "beta shop", true),
+                ("gamma shop", "alpha shop", false),
+                ("delta shop eta", "delta", true),
+            ],
+            [
+                ("beta shop", "alpha shop alpha", false),
+                ("zeta", "zeta shop", true),
+                ("alpha eta", "theta shop", false),
+            ],
+            [
+                ("theta shop theta", "theta", true),
+                ("epsilon shop", "alpha", false),
+                ("gamma beta", "gamma beta shop", true),
+            ],
+        ]
+        .iter()
+        .map(|batch| {
+            batch
+                .iter()
+                .map(|&(a, b, label)| Example {
+                    pair: EncodedPair {
+                        ids_a: tok.encode(a),
+                        ids_b: tok.encode(b),
+                    },
+                    label,
+                })
+                .collect()
+        })
+        .collect();
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let same_state = |got: &PromptEmModel, want: &PromptEmModel, at: &str| {
+            let (g, w) = (&got.lm.store, &want.lm.store);
+            for id in g.ids() {
+                let name = g.name(id);
+                assert_eq!(bits(g.grad(id)), bits(w.grad(id)), "{name} grad, {at}");
+                assert_eq!(bits(g.value(id)), bits(w.value(id)), "{name}, {at}");
+            }
+            assert_eq!(got.rng.state(), want.rng.state(), "RNG, {at}");
+        };
+        // The `[MASK]` is the last row under T1 and a middle row under T2.
+        let templates = [TemplateId::T1, TemplateId::T2];
+        let runs = templates.into_iter().flat_map(|template| {
+            [PromptMode::Hard, PromptMode::Continuous]
+                .into_iter()
+                .flat_map(move |mode| [1, 2].map(|threads| (template, mode, threads)))
+        });
+        for (template, mode, threads) in runs {
+            let opts = PromptOpts {
+                template,
+                mode,
+                label_words: LabelWords::designed(),
+            };
+            em_pool::set_threads(threads);
+            let mut model = PromptEmModel::new(backbone.clone(), opts, 31);
+            let mut full = model.clone();
+            let (mut opt, mut opt_full) = (AdamW::new(1e-3), AdamW::new(1e-3));
+            for (step, batch) in batches.iter().enumerate() {
+                let batch: Vec<&Example> = batch.iter().collect();
+                let loss = model.batch_step(&batch, &mut opt);
+                let want = full_batch_step(&mut full, &batch, &mut opt_full);
+                let at = format!("{template:?}/{mode:?}, {threads} threads, step {step}");
+                assert_eq!(loss.to_bits(), want.to_bits(), "loss, {at}");
+                same_state(&model, &full, &at);
+            }
+            em_pool::set_threads(0);
+        }
     }
 
     #[test]

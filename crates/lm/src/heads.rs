@@ -41,8 +41,7 @@ impl MlmHead {
     ) -> Var {
         let h = self.transform_rows(tape, store, hidden);
         let table = encoder.tok_emb.table_var(tape, store); // (V, d)
-        let table_t = tape.transpose(table); // (d, V)
-        let scores = tape.matmul(h, table_t); // (n, V)
+        let scores = tape.matmul_nt(h, table); // (n, V), no transposed copy
         let bias = tape.param(store, self.bias);
         tape.add_row_broadcast(scores, bias)
     }

@@ -67,7 +67,6 @@ pub struct Verbalizer {
     pub yes_ids: Vec<usize>,
     /// Vocabulary ids of the resolved "no" words.
     pub no_ids: Vec<usize>,
-    vocab: usize,
 }
 
 impl Verbalizer {
@@ -88,55 +87,48 @@ impl Verbalizer {
             !no_ids.is_empty(),
             "no 'no' label word is in the vocabulary"
         );
-        Verbalizer {
-            yes_ids,
-            no_ids,
-            vocab: tokenizer.vocab_size(),
-        }
+        Verbalizer { yes_ids, no_ids }
+    }
+
+    /// The nonzero rows of Eq. 1's `(V, 2)` class projection: every label
+    /// id once, ascending, with `1 / ids.len()` in the column of each class
+    /// that lists it (a duplicated id still counts in `ids.len()`).
+    fn label_rows(&self) -> (Vec<usize>, Matrix) {
+        let mut ids: Vec<usize> = self.yes_ids.iter().chain(&self.no_ids).copied().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let classes = [&self.yes_ids, &self.no_ids];
+        let weights = Matrix::from_fn(ids.len(), 2, |k, c| {
+            let class = classes[c];
+            if class.contains(&ids[k]) {
+                1.0 / class.len() as f32
+            } else {
+                0.0
+            }
+        });
+        (ids, weights)
     }
 
     /// Eq. 1: class probability = mean probability of the class's label
     /// words. Input `logits` is `(n, V)`; output is `(n, 2)` with column 0 =
-    /// P(yes|x), column 1 = P(no|x).
+    /// P(yes|x), column 1 = P(no|x). One [`TapeExec::cols_matmul`] over the
+    /// label-word columns: the dense `(V, 2)` projection's bits, forward
+    /// and backward, without its `V − |labels|` zero rows (DESIGN §18).
     pub fn class_probs(&self, tape: &mut impl TapeExec, logits: Var) -> Var {
         let probs = tape.softmax_rows(logits);
-        let mut m = Matrix::zeros(self.vocab, 2);
-        for &w in &self.yes_ids {
-            m.set(w, 0, 1.0 / self.yes_ids.len() as f32);
-        }
-        for &w in &self.no_ids {
-            m.set(w, 1, 1.0 / self.no_ids.len() as f32);
-        }
-        let mv = tape.constant(m);
-        tape.matmul(probs, mv)
+        let (ids, weights) = self.label_rows();
+        tape.cols_matmul(probs, &ids, &weights)
     }
 
     /// The match probability `P(yes) / (P(yes) + P(no))` per row of
-    /// `logits` `(n, V)`, for forward-only scoring. Equal bit for bit to
-    /// [`Verbalizer::class_probs`] followed by that ratio, without the
-    /// dense `(V, 2)` projection: each class mass is a gather-sum over
-    /// the class's ids in ascending order, each id once, weighted
-    /// `1 / ids.len()` (duplicates counted, as in the projection). Those
-    /// are exactly the nonzero terms the projection's matmul adds, in its
-    /// order; every other term is `p · 0 = +0.0`, which leaves a sum that
-    /// starts at `+0.0` unchanged.
+    /// `logits` `(n, V)`, for forward-only scoring: [`Verbalizer::class_probs`]
+    /// followed by that ratio.
     pub fn match_probs(&self, tape: &mut impl TapeExec, logits: Var) -> Vec<f32> {
-        let probs = tape.softmax_rows(logits);
-        let pm = tape.value(probs);
-        let class = |ids: &[usize]| {
-            let mut unique = ids.to_vec();
-            unique.sort_unstable();
-            unique.dedup();
-            (unique, 1.0 / ids.len() as f32)
-        };
-        let (yes, yes_w) = class(&self.yes_ids);
-        let (no, no_w) = class(&self.no_ids);
+        let class = self.class_probs(tape, logits);
+        let pm = tape.value(class);
         (0..pm.rows())
             .map(|r| {
-                let row = pm.row(r);
-                let mass =
-                    |ids: &[usize], w: f32| ids.iter().fold(0.0f32, |acc, &i| acc + row[i] * w);
-                let (yes, no) = (mass(&yes, yes_w), mass(&no, no_w));
+                let (yes, no) = (pm.get(r, 0), pm.get(r, 1));
                 yes / (yes + no).max(1e-12)
             })
             .collect()
@@ -611,15 +603,42 @@ mod tests {
             let spread = if r % 3 == 0 { 120.0 } else { 8.0 };
             rng.gen_range(-spread..spread)
         });
+        let targets: Vec<usize> = (0..logits.rows()).map(|r| r % 2).collect();
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for label_words in &verbalizers {
             let verb = Verbalizer::new(&tok, label_words);
-            let mut tape = Tape::inference();
-            let x = tape.constant(logits.clone());
-            let class = verb.class_probs(&mut tape, x);
-            let pm = tape.value(class).clone();
-            let want: Vec<u32> = (0..pm.rows())
+            // The oracle: Eq. 1 as the dense `(V, 2)` projection, each id
+            // set once to `1 / ids.len()` in its class's column.
+            let mut dense = Matrix::zeros(vocab, 2);
+            for (c, ids) in [&verb.yes_ids, &verb.no_ids].into_iter().enumerate() {
+                for &w in ids {
+                    dense.set(w, c, 1.0 / ids.len() as f32);
+                }
+            }
+            let run = |head: &dyn Fn(&mut Tape, Var) -> Var| {
+                let mut tape = Tape::new();
+                let x = tape.constant(logits.clone());
+                let class = head(&mut tape, x);
+                let loss = tape.nll_probs(class, &targets);
+                tape.backward(loss);
+                (tape.value(class).clone(), tape.grad(x))
+            };
+            let (want, want_grad) = run(&|t, x| {
+                let probs = t.softmax_rows(x);
+                let m = t.constant(dense.clone());
+                t.matmul(probs, m)
+            });
+            let (got, got_grad) = run(&|t, x| verb.class_probs(t, x));
+            assert_eq!(bits(&got), bits(&want), "class probs, {label_words:?}");
+            assert_eq!(
+                bits(&got_grad),
+                bits(&want_grad),
+                "logit grads, {label_words:?}"
+            );
+
+            let ratio: Vec<u32> = (0..want.rows())
                 .map(|r| {
-                    let (yes, no) = (pm.get(r, 0), pm.get(r, 1));
+                    let (yes, no) = (want.get(r, 0), want.get(r, 1));
                     (yes / (yes + no).max(1e-12)).to_bits()
                 })
                 .collect();
@@ -630,7 +649,7 @@ mod tests {
                 .iter()
                 .map(|p| p.to_bits())
                 .collect();
-            assert_eq!(got, want, "{label_words:?}");
+            assert_eq!(got, ratio, "match probs, {label_words:?}");
         }
     }
 

@@ -118,8 +118,7 @@ impl MultiHeadSelfAttention {
             let qh = tape.slice_cols(q, off, self.d_head);
             let kh = tape.slice_cols(k, off, self.d_head);
             let vh = tape.slice_cols(v, off, self.d_head);
-            let kt = tape.transpose(kh);
-            let scores = tape.matmul(qh, kt);
+            let scores = tape.matmul_nt(qh, kh);
             let scores = tape.scale(scores, scale);
             let scores = match mask_row {
                 Some(m) => tape.add_const(scores, m),
@@ -159,8 +158,7 @@ impl MultiHeadSelfAttention {
             let qh = tape.slice_cols(q, off, self.d_head);
             let kh = tape.slice_cols(k, off, self.d_head);
             let vh = tape.slice_cols(v, off, self.d_head);
-            let kt = tape.transpose(kh);
-            let scores = tape.matmul(qh, kt);
+            let scores = tape.matmul_nt(qh, kh);
             let scores = tape.scale(scores, scale);
             let scores = match mask {
                 Some(m) => tape.add_const(scores, m),

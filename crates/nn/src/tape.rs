@@ -137,9 +137,10 @@ fn check_same_shape(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) 
     }
 }
 
-/// Record-time check for the product `lhs @ rhs`.
-fn check_matmul(lhs: (usize, usize), rhs: (usize, usize)) {
-    if lhs.1 != rhs.0 {
+/// Record-time check for the product `lhs @ rhs`, or `lhs @ rhsᵀ` when
+/// `rhs_t`.
+fn check_matmul(lhs: (usize, usize), rhs: (usize, usize), rhs_t: bool) {
+    if lhs.1 != if rhs_t { rhs.1 } else { rhs.0 } {
         reject(TapeError::ShapeMismatch {
             op: "matmul",
             lhs,
@@ -317,7 +318,9 @@ mod hook {
         /// Constant or parameter leaf. Parameter leaves are the ones in the
         /// executor's parameter cache; they receive gradient at the end.
         Leaf,
-        Matmul(Var, Var),
+        /// `a @ b`, or `a @ bᵀ` when the flag is set: one node either way,
+        /// and `b` stays in its own layout forward and backward.
+        Matmul(Var, Var, bool),
         Add(Var, Var),
         /// `a (R,C) + broadcast of b (1,C)` over rows.
         AddRowBroadcast(Var, Var),
@@ -388,6 +391,13 @@ mod hook {
             probs: Var,
             targets: Vec<usize>,
         },
+        /// `x[:, cols] @ m` for a constant `m`; backward scatters
+        /// `g @ mᵀ` into the selected columns.
+        ColsMatmul {
+            x: Var,
+            cols: Vec<usize>,
+            m: Matrix,
+        },
     }
 
     impl Op {
@@ -421,6 +431,7 @@ mod hook {
                 Op::CrossEntropy { .. } => "cross_entropy",
                 Op::MseLoss { .. } => "mse_loss",
                 Op::NllProbs { .. } => "nll_probs",
+                Op::ColsMatmul { .. } => "cols_matmul",
             }
         }
 
@@ -455,6 +466,7 @@ mod hook {
                 Op::CrossEntropy { .. } => 24,
                 Op::MseLoss { .. } => 25,
                 Op::NllProbs { .. } => 26,
+                Op::ColsMatmul { .. } => 27,
             }
         }
 
@@ -463,7 +475,7 @@ mod hook {
         pub fn for_each_input(&self, mut f: impl FnMut(Var)) {
             match self {
                 Op::Leaf => {}
-                Op::Matmul(a, b)
+                Op::Matmul(a, b, _)
                 | Op::Add(a, b)
                 | Op::AddRowBroadcast(a, b)
                 | Op::Sub(a, b)
@@ -488,7 +500,8 @@ mod hook {
                 | Op::SliceCols { x: a, .. }
                 | Op::CrossEntropy { logits: a, .. }
                 | Op::MseLoss { pred: a, .. }
-                | Op::NllProbs { probs: a, .. } => f(*a),
+                | Op::NllProbs { probs: a, .. }
+                | Op::ColsMatmul { x: a, .. } => f(*a),
                 Op::LayerNorm { x, gamma, beta, .. } => {
                     f(*x);
                     f(*gamma);
@@ -562,9 +575,20 @@ pub trait TapeExec: Record {
     fn matmul(&mut self, a: Var, b: Var) -> Var {
         let prof = OpTimer::start();
         let (am, bm) = (self.value(a), self.value(b));
-        check_matmul(am.shape(), bm.shape());
+        check_matmul(am.shape(), bm.shape(), false);
         let value = am.matmul(bm);
-        self.record(prof, value, || Op::Matmul(a, b))
+        self.record(prof, value, || Op::Matmul(a, b, false))
+    }
+
+    /// Matrix product `a @ bᵀ` as one node. `b` is read in its own
+    /// row-major layout, forward and backward, and never copied
+    /// transposed; the bits are those of `transpose` + `matmul`.
+    fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (am, bm) = (self.value(a), self.value(b));
+        check_matmul(am.shape(), bm.shape(), true);
+        let value = am.matmul_nt(bm);
+        self.record(prof, value, || Op::Matmul(a, b, true))
     }
 
     /// Matrix product `a @ k` with a borrowed constant right operand (no
@@ -768,6 +792,38 @@ pub trait TapeExec: Record {
         let prof = OpTimer::start();
         let value = self.value(x).mean_rows();
         self.record(prof, value, || Op::MeanRows(x))
+    }
+
+    /// `x[:, cols] @ m` for a constant `m` with one row per entry of
+    /// `cols`: the product of `x` with the `(x.cols, m.cols)` matrix whose
+    /// row `cols[k]` is row `k` of `m` and whose other rows are zero,
+    /// without forming that matrix or reading the other columns. With
+    /// `cols` ascending and distinct it keeps the dense product's bits on
+    /// finite `x`, forward and backward (DESIGN §18). No gradient to `m`.
+    fn cols_matmul(&mut self, x: Var, cols: &[usize], m: &Matrix) -> Var {
+        let prof = OpTimer::start();
+        let xm = self.value(x);
+        if let Some(&bad) = cols.iter().find(|&&c| c >= xm.cols()) {
+            reject(TapeError::IndexOutOfRange {
+                op: "cols_matmul",
+                index: bad,
+                len: xm.cols(),
+            });
+        }
+        if m.rows() != cols.len() {
+            reject(TapeError::BadShape {
+                op: "cols_matmul",
+                got: m.shape(),
+                want: "one row per selected column",
+            });
+        }
+        let picked = Matrix::from_fn(xm.rows(), cols.len(), |r, k| xm.get(r, cols[k]));
+        let value = picked.matmul(m);
+        self.record(prof, value, || Op::ColsMatmul {
+            x,
+            cols: cols.to_vec(),
+            m: m.clone(),
+        })
     }
 }
 
@@ -1256,10 +1312,17 @@ fn backprop(
     let sw = profiling.then(em_obs::Stopwatch::new);
     match &nodes[i].op {
         Op::Leaf => {}
-        Op::Matmul(a, b) => {
+        Op::Matmul(a, b, b_t) => {
             let (a, b) = (*a, *b);
-            let da = g.matmul_nt(&nodes[b.0].value);
-            let db = nodes[a.0].value.matmul_tn(g);
+            let (am, bm) = (&nodes[a.0].value, &nodes[b.0].value);
+            // For `a @ bᵀ`, `da = g @ b` reads `b` as stored and
+            // `db = gᵀ @ a` lands in `b`'s own layout: the products of
+            // `transpose` + `matmul`'s backward, commuted (DESIGN §18).
+            let (da, db) = if *b_t {
+                (g.matmul(bm), g.matmul_tn(am))
+            } else {
+                (g.matmul_nt(bm), am.matmul_tn(g))
+            };
             emit(a, da.into());
             emit(b, db.into());
         }
@@ -1463,6 +1526,22 @@ fn backprop(
             let da = pm.sub(target).scale(c);
             emit(*pred, da.into());
         }
+        Op::ColsMatmul { x, cols, m } => {
+            // The dense backward `g @ Mᵀ` is +0.0 off `cols`; on them it is
+            // `g @ mᵀ`, each element summed over the same classes in the
+            // same order. A gemm sum is never −0.0, so `+=` onto +0.0 is a
+            // copy for distinct columns.
+            let dg = g.matmul_nt(m);
+            let (rows, width) = nodes[x.0].value.shape();
+            let mut dx = Matrix::zeros(rows, width);
+            for r in 0..rows {
+                let out = dx.row_mut(r);
+                for (&c, &v) in cols.iter().zip(dg.row(r)) {
+                    out[c] += v;
+                }
+            }
+            emit(*x, dx.into());
+        }
     }
     if let Some(sw) = sw {
         OP_TABLE.record_bwd(nodes[i].op.index(), (sw.secs() * 1e9) as u64);
@@ -1609,10 +1688,10 @@ impl TapeExec for NoGradTape {
     fn matmul_const(&mut self, a: Var, k: &Matrix) -> Var {
         let prof = OpTimer::start();
         let am = &self.slots[a.0];
-        check_matmul(am.shape(), k.shape());
+        check_matmul(am.shape(), k.shape(), false);
         let value = am.matmul(k);
         // `k` has no var here; the op only names the profiler slot.
-        self.record(prof, value, || Op::Matmul(a, a))
+        self.record(prof, value, || Op::Matmul(a, a, false))
     }
 
     fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
@@ -1941,7 +2020,7 @@ mod tests {
         let m = Matrix::zeros(1, 1);
         let ops = vec![
             Op::Leaf,
-            Op::Matmul(v, v),
+            Op::Matmul(v, v, false),
             Op::Add(v, v),
             Op::AddRowBroadcast(v, v),
             Op::Sub(v, v),
@@ -1980,10 +2059,18 @@ mod tests {
                 targets: Vec::new(),
                 probs: m.clone(),
             },
-            Op::MseLoss { pred: v, target: m },
+            Op::MseLoss {
+                pred: v,
+                target: m.clone(),
+            },
             Op::NllProbs {
                 probs: v,
                 targets: Vec::new(),
+            },
+            Op::ColsMatmul {
+                x: v,
+                cols: Vec::new(),
+                m,
             },
         ];
         assert_eq!(ops.len(), em_obs::names::ALL_OP_NAMES.len());
@@ -2250,6 +2337,32 @@ mod tests {
         0x3df08e1a, 0x3e20d947, 0x3e2e0bd0, 0x3e27b674, 0x3e2028f1, 0x3e1abbcc, 0x3d91a4a1,
         0x3db39fc4, 0x3dd03bbd, 0x3ddd99f4,
     ];
+
+    #[test]
+    fn the_one_node_transposed_product_keeps_the_embedding_golden_bits() {
+        // `embedding_gradient_keeps_its_golden_bits`' graph with the tied
+        // product as one `matmul_nt` node: the logits of `transpose` +
+        // `matmul`, and the table's golden gradient.
+        let mut store = ParamStore::new();
+        let e = store.register(
+            "e",
+            Matrix::from_fn(6, 4, |r, c| (r as f32 * 0.37 - c as f32 * 0.23).sin()),
+        );
+        let mut tape = Tape::new();
+        let table = tape.param(&store, e);
+        let first = tape.gather_rows(table, &[1, 3, 1]);
+        let second = tape.gather_rows(table, &[4, 1]);
+        let x = tape.concat_rows(&[first, second]);
+        let h = tape.tanh(x);
+        let logits = tape.matmul_nt(h, table);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let want = tape.value(h).matmul(&tape.value(table).transpose());
+        assert_eq!(bits(tape.value(logits)), bits(&want), "logits");
+        let loss = tape.cross_entropy(logits, &[0, 2, 5, 1, 3]);
+        tape.backward(loss);
+        tape.accumulate_param_grads(&mut store);
+        assert_eq!(bits(store.grad(e)), GOLDEN_GRAD_E, "accumulated grad(e)");
+    }
 
     /// Record malformed call number `case` on `exec`; every case panics.
     fn malformed_call<T: TapeExec>(exec: &mut T, case: usize) {

@@ -169,7 +169,7 @@ impl Matrix {
         Matrix {
             rows: m,
             cols: n,
-            data: gemm(&self.data, &other.data, m, k, n),
+            data: gemm(&self.data, &other.data, false, m, k, n),
         }
     }
 
@@ -186,11 +186,12 @@ impl Matrix {
         Matrix {
             rows: m,
             cols: n,
-            data: gemm(&self.transpose().data, &other.data, m, k, n),
+            data: gemm(&self.transpose().data, &other.data, false, m, k, n),
         }
     }
 
-    /// `self @ other^T`: packs `other^T` row-major, then runs `gemm`.
+    /// `self @ other^T`: `gemm` packs each panel of `other^T` from `other`'s
+    /// rows as it goes, so `other` is never copied transposed.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols,
@@ -203,7 +204,7 @@ impl Matrix {
         Matrix {
             rows: m,
             cols: n,
-            data: gemm(&self.data, &other.transpose().data, m, k, n),
+            data: gemm(&self.data, &other.data, true, m, k, n),
         }
     }
 
@@ -511,28 +512,39 @@ const NR: usize = 16;
 /// stay in registers while `p` runs over `0..k` in ascending order with
 /// a separately rounded `acc + a·b` per step — exactly the sum the plain
 /// ikj loop formed, so the result is bit-identical to it on finite
-/// inputs (DESIGN §15).
-fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+/// inputs (DESIGN §15). With `b_t`, `b` is stored transposed (`n×k`),
+/// and each `k × NR` panel is packed from `NR` of its rows: the same
+/// sums, without a transposed copy of `b` (DESIGN §18).
+fn gemm(a: &[f32], b: &[f32], b_t: bool, m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     if m == 0 || k == 0 || n == 0 {
         return out;
     }
-    // The column tail, zero-padded to a full-width panel so it runs the
-    // same kernel; its padding columns are computed and discarded.
-    let tail = n % NR;
-    let mut padded = Vec::new();
-    if tail > 0 {
-        padded = vec![0.0f32; k * NR];
-        for (dst, src) in padded.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-            dst[..tail].copy_from_slice(&src[n - tail..]);
-        }
-    }
+    // A packed `k × NR` panel: every panel when `b_t`, else only the
+    // column tail. Zero-padded to full width, so the tail runs the same
+    // kernel; its padding columns are computed and discarded.
+    let mut packed = Vec::new();
     for j0 in (0..n).step_by(NR) {
         let width = NR.min(n - j0);
-        let (panel, ldb) = if width == NR {
+        let (panel, ldb) = if width == NR && !b_t {
             (&b[j0..], n)
         } else {
-            (&padded[..], NR)
+            packed.resize(k * NR, 0.0f32);
+            if width < NR {
+                packed.fill(0.0);
+            }
+            if b_t {
+                for (c, src) in b[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
+                    for (p, &v) in src.iter().enumerate() {
+                        packed[p * NR + c] = v;
+                    }
+                }
+            } else {
+                for (dst, src) in packed.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+                    dst[..width].copy_from_slice(&src[j0..j0 + width]);
+                }
+            }
+            (&packed[..], NR)
         };
         let mut store = |i0: usize, acc: &[[f32; NR]]| {
             for (r, acc_row) in acc.iter().enumerate() {

@@ -164,6 +164,7 @@ mod tests {
 
     #[test]
     fn disabled_is_zero_cost_and_enabled_beats_every_n_ticks() {
+        let _events = crate::tests::test_lock();
         let _guard = EVERY_LOCK.lock().unwrap();
         // Disabled (the default): no Heartbeat, no clock reads, no events
         // — even under a capture, which otherwise forces `enabled()`.
@@ -220,6 +221,7 @@ mod tests {
 
     #[test]
     fn unknown_total_suppresses_eta() {
+        let _events = crate::tests::test_lock();
         let _guard = EVERY_LOCK.lock().unwrap();
         set_progress_every(2);
         let ((), events) = capture(|| {

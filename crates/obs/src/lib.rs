@@ -483,13 +483,26 @@ pub fn debug(text: impl Into<String>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The lock this crate's tests hold while they emit events or assert
+    /// that nothing is emitted. The harness runs tests on parallel
+    /// threads, and the JSONL sink (`sink::open_jsonl`) turns `enabled()`
+    /// on for every thread while a capture on any thread ticks the global
+    /// event sequence: a test that checks the disabled state must not
+    /// overlap either.
+    pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_by_default_and_emit_is_a_noop() {
-        // This thread has no capture; global sinks are off unless another
-        // test enabled one, so only assert the capture-side behavior.
+        let _events = test_lock();
+        // This thread has no capture, and `test_lock` keeps every other
+        // test's sink and capture out of this window.
         let before = SEQ.load(Ordering::Relaxed);
         if !enabled() {
             emit(EventKind::Block { candidates: 1 });
@@ -503,6 +516,7 @@ mod tests {
 
     #[test]
     fn typed_helpers_produce_the_right_kinds() {
+        let _events = test_lock();
         let ((), events) = capture(|| {
             epoch_summary(3, 0.5, None, None, 64, 4, 1000);
             pseudo_select(4, Some(1.0), None);
@@ -529,6 +543,7 @@ mod tests {
 
     #[test]
     fn unc_hist_bins_cover_the_value_range() {
+        let _events = test_lock();
         let ((), events) = capture(|| {
             unc_hist("pseudo_uncertainty", &[0.0, 0.05, 0.1, 0.1, 0.4], 4);
             unc_hist("mc_el2n", &[], 4);
@@ -567,6 +582,7 @@ mod tests {
 
     #[test]
     fn flush_metrics_emits_metric_events() {
+        let _events = test_lock();
         metrics::counter("test_flush_metrics_counter", &[]).add(2);
         let ((), events) = capture(flush_metrics);
         let found = events.iter().any(|e| {
@@ -581,6 +597,7 @@ mod tests {
 
     #[test]
     fn seq_is_monotonic_across_helpers() {
+        let _events = test_lock();
         let ((), events) = capture(|| {
             for i in 0..32 {
                 block(i);

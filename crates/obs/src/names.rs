@@ -164,7 +164,7 @@ pub const ALL_SPAN_NAMES: [&str; 21] = [
 /// op in this array is its slot in the op-profiler's accumulation table
 /// (`em-nn` pins the correspondence with a test), and the `em-lint`
 /// `op_name` rule requires `op_stats` op strings to come from here.
-pub const ALL_OP_NAMES: [&str; 27] = [
+pub const ALL_OP_NAMES: [&str; 28] = [
     "leaf",
     "matmul",
     "add",
@@ -192,6 +192,7 @@ pub const ALL_OP_NAMES: [&str; 27] = [
     "cross_entropy",
     "mse_loss",
     "nll_probs",
+    "cols_matmul",
 ];
 
 #[cfg(test)]

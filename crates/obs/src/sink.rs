@@ -141,6 +141,7 @@ mod tests {
 
     #[test]
     fn capture_collects_in_order_and_restores_disabled_state() {
+        let _events = crate::tests::test_lock();
         assert!(!CAPTURING.with(|c| c.get()));
         let (value, events) = capture(|| {
             crate::emit(EventKind::Block { candidates: 10 });
@@ -169,6 +170,7 @@ mod tests {
 
     #[test]
     fn capture_survives_panic() {
+        let _events = crate::tests::test_lock();
         let caught = std::panic::catch_unwind(|| {
             capture(|| panic!("boom"));
         });
@@ -184,6 +186,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_through_a_file() {
+        let _events = crate::tests::test_lock();
         let dir = std::env::temp_dir().join(format!("em_obs_jsonl_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jsonl");

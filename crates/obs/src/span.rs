@@ -102,6 +102,7 @@ mod tests {
 
     #[test]
     fn inert_guard_when_disabled() {
+        let _events = crate::tests::test_lock();
         // No sink and no capture on this thread: the guard must do nothing.
         let g = crate::span("idle");
         assert_eq!(g.id(), 0);
@@ -111,6 +112,7 @@ mod tests {
 
     #[test]
     fn nested_spans_emit_ordered_events_with_parents() {
+        let _events = crate::tests::test_lock();
         let ((), events) = crate::capture(|| {
             let outer = crate::span("outer");
             let outer_id = outer.id();
