@@ -681,8 +681,9 @@ mod tests {
         let model = PromptEmModel::new(backbone, PromptOpts::default(), 13);
         let pairs: Vec<&EncodedPair> = train.iter().map(|e| &e.pair).collect();
         let scorer = Scorer::new(&model.lm, &model.template, &model.verbalizer);
-        // The head as it ran before per-call caching: the tied decoder
-        // transposed on the tape and the dense class projection, per chunk.
+        // The head as training records it, per chunk: `MlmHead::logits`
+        // (the tied decoder as one `matmul_nt`) and `class_probs` (one
+        // `cols_matmul` over the label columns), with no cached decoder.
         let per_chunk = |tape: &mut NoGradTape, chunk: &[&EncodedPair], rng: &mut StdRng| {
             let (lm, rows) = (&model.lm, scorer.prompt_rows.as_ref());
             let hidden: Vec<_> = chunk
@@ -767,8 +768,9 @@ mod tests {
         let mut rows = Vec::new();
         for ex in batch {
             rows.push(tape.segment(|tape| {
-                let (a, b) = (&ex.pair.ids_a, &ex.pair.ids_b);
-                let (h, mask_row) = template.forward(tape, store, &lm.encoder, a, b, rng);
+                let (a, b, enc) = (&ex.pair.ids_a, &ex.pair.ids_b, &lm.encoder);
+                let (x, seq, mask_row) = template.embed_template(tape, store, enc, a, b, None, rng);
+                let h = enc.forward_embedded(tape, store, x, seq, 0..seq, rng);
                 tape.slice_rows(h, mask_row, 1)
             }));
         }

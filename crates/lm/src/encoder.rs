@@ -1,7 +1,8 @@
 //! The transformer encoder backbone (BERT/RoBERTa-style, post-LayerNorm)
 //! with an entry point that accepts *pre-built* embedding rows so the
 //! P-tuning prompt encoder can splice trainable prompt embeddings into the
-//! input (paper §3.1, "Continuous templates").
+//! input (paper §3.1, "Continuous templates"), and returns any contiguous
+//! range of the final hidden rows (the `[MASK]` row for prompt-tuning).
 
 use crate::config::LmConfig;
 use crate::tokenizer::PAD;
@@ -9,6 +10,7 @@ use em_nn::layers::{Embedding, FeedForward, LayerNorm, MultiHeadSelfAttention};
 use em_nn::tape::burn_draws;
 use em_nn::{Matrix, ParamStore, TapeExec, Var};
 use rand::Rng;
+use std::ops::Range;
 
 /// One transformer block: post-LN self-attention + feed-forward.
 #[derive(Clone)]
@@ -53,68 +55,44 @@ impl EncoderLayer {
         }
     }
 
+    /// The layer's output rows `rows` of `x` `(seq, d_model)`; `mask`
+    /// (optional) is the `(rows.len(), seq)` additive padding mask.
+    /// Attention keys and values span the whole sequence; the queries,
+    /// residuals, LayerNorms and the FFN cover `rows` only, and `0..seq` is
+    /// the full forward. Each of the three dropouts (post-attention,
+    /// FFN-internal around the `ffn.forward` call, post-FFN) burns the
+    /// draws of the rows before and after `rows` at their stream
+    /// positions, so the RNG exits as after the full forward. Pinned in
+    /// `tests::row_range_forward_matches_the_sliced_full_forward_bitwise`.
     fn forward(
         &self,
         tape: &mut impl TapeExec,
         store: &ParamStore,
         x: Var,
+        rows: Range<usize>,
         mask: Option<&Matrix>,
         rng: &mut impl Rng,
     ) -> Var {
-        let a = self.attn.forward(tape, store, x, mask, rng);
-        let a = tape.dropout(a, self.dropout, rng);
-        let x = tape.add(x, a);
-        let x = self.ln1.forward(tape, store, x);
-        let f = self.ffn.forward(tape, store, x, rng);
-        let f = tape.dropout(f, self.dropout, rng);
-        let x = tape.add(x, f);
-        self.ln2.forward(tape, store, x)
-    }
-
-    /// [`EncoderLayer::forward`] for one output row: attention keys and
-    /// values span the full sequence, everything downstream (residuals,
-    /// LayerNorms, the FFN) runs on row `row` alone. Dropout draws for
-    /// the skipped rows of each mask — post-attention, FFN-internal
-    /// (which needs `d_ff` before the FFN call consumes its row), and
-    /// post-FFN — are burned at their stream positions so the RNG exits
-    /// exactly as after the full forward. Bit-exactness with the full
-    /// forward's row is pinned in
-    /// `tests::single_row_forward_matches_the_full_forward_bitwise`.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_row(
-        &self,
-        tape: &mut impl TapeExec,
-        store: &ParamStore,
-        x: Var,
-        row: usize,
-        mask_row: Option<&Matrix>,
-        d_ff: usize,
-        rng: &mut impl Rng,
-    ) -> Var {
         let (seq, d) = tape.value(x).shape();
-        let burn = tape.is_train() && self.dropout > 0.0;
-        let a = self.attn.forward_row(tape, store, x, row, mask_row, rng);
-        if burn {
-            burn_draws(rng, row * d);
-        }
+        let d_ff = self.ffn.fc1.out_dim;
+        let (before, after) = if tape.is_train() && self.dropout > 0.0 {
+            (rows.start, seq - rows.end)
+        } else {
+            (0, 0)
+        };
+        let a = self.attn.forward(tape, store, x, rows.clone(), mask, rng);
+        burn_draws(rng, before * d);
         let a = tape.dropout(a, self.dropout, rng);
-        if burn {
-            burn_draws(rng, (seq - 1 - row) * d);
-        }
-        let xr = tape.slice_rows(x, row, 1);
+        burn_draws(rng, after * d);
+        let xr = tape.slice_row_range(x, rows);
         let x = tape.add(xr, a);
         let x = self.ln1.forward(tape, store, x);
-        if burn {
-            burn_draws(rng, row * d_ff);
-        }
+        burn_draws(rng, before * d_ff);
         let f = self.ffn.forward(tape, store, x, rng);
-        if burn {
-            burn_draws(rng, (seq - 1 - row) * d_ff + row * d);
-        }
+        burn_draws(rng, after * d_ff);
+        burn_draws(rng, before * d);
         let f = tape.dropout(f, self.dropout, rng);
-        if burn {
-            burn_draws(rng, (seq - 1 - row) * d);
-        }
+        burn_draws(rng, after * d);
         let x = tape.add(x, f);
         self.ln2.forward(tape, store, x)
     }
@@ -177,61 +155,37 @@ impl Encoder {
         tape.dropout(x, self.cfg.dropout, rng)
     }
 
-    /// Run the layer stack over already-embedded rows. `valid_len` marks the
-    /// prefix of non-padding positions (attention is masked past it).
+    /// Run the layer stack over already-embedded rows and return the final
+    /// hidden states of the output rows `rows` (`0..seq` for all of them).
+    /// `valid_len` marks the prefix of non-padding positions (attention is
+    /// masked past it). Every layer but the last runs over the whole
+    /// sequence, because the next layer's attention reads every key and
+    /// value row; the last runs over `rows`. The result and the RNG exit
+    /// state are those of the full forward's rows, bit for bit, so
+    /// [`Encoder::dropout_draws`] holds for every range.
     pub fn forward_embedded(
         &self,
         tape: &mut impl TapeExec,
         store: &ParamStore,
         mut x: Var,
         valid_len: usize,
+        rows: Range<usize>,
         rng: &mut impl Rng,
     ) -> Var {
         let seq = tape.value(x).rows();
-        let mask = if valid_len < seq {
-            Some(MultiHeadSelfAttention::padding_mask(seq, valid_len))
-        } else {
-            None
+        let pad = |rows| MultiHeadSelfAttention::padding_mask(rows, seq, valid_len);
+        let mask = (valid_len < seq).then(|| pad(0..seq));
+        let Some((last, inner)) = self.layers.split_last() else {
+            return tape.slice_row_range(x, rows);
         };
-        for layer in &self.layers {
-            x = layer.forward(tape, store, x, mask.as_ref(), rng);
+        for layer in inner {
+            x = layer.forward(tape, store, x, 0..seq, mask.as_ref(), rng);
         }
-        x
-    }
-
-    /// [`Encoder::forward_embedded`] when only one output row is consumed
-    /// (the `[MASK]` position during scoring). Every layer but the last
-    /// runs in full — the final layer's attention still reads all of its
-    /// key/value rows — and the last layer computes just `row` via
-    /// [`EncoderLayer::forward_row`]. Returns a `(1, d_model)` hidden
-    /// state bit-identical to row `row` of the full forward, with the RNG
-    /// left in the identical state (skipped dropout draws are burned), so
-    /// [`Encoder::dropout_draws`] holds for this path too.
-    pub fn forward_embedded_row(
-        &self,
-        tape: &mut impl TapeExec,
-        store: &ParamStore,
-        mut x: Var,
-        valid_len: usize,
-        row: usize,
-        rng: &mut impl Rng,
-    ) -> Var {
-        let seq = tape.value(x).rows();
-        let mask = if valid_len < seq {
-            Some(MultiHeadSelfAttention::padding_mask(seq, valid_len))
-        } else {
-            None
+        let last_mask = match mask {
+            Some(_) if rows != (0..seq) => Some(pad(rows.clone())),
+            full => full,
         };
-        let Some((last, full)) = self.layers.split_last() else {
-            return tape.slice_rows(x, row, 1);
-        };
-        for layer in full {
-            x = layer.forward(tape, store, x, mask.as_ref(), rng);
-        }
-        let mask_row = mask
-            .as_ref()
-            .map(|_| MultiHeadSelfAttention::padding_mask_row(seq, valid_len));
-        last.forward_row(tape, store, x, row, mask_row.as_ref(), self.cfg.d_ff, rng)
+        last.forward(tape, store, x, rows, last_mask.as_ref(), rng)
     }
 
     /// How many RNG values one train-mode forward over `seq` rows draws for
@@ -267,7 +221,7 @@ impl Encoder {
         let ids = self.clip(ids);
         let valid = ids.iter().take_while(|&&t| t != PAD).count();
         let x = self.embed(tape, store, ids, rng);
-        let out = self.forward_embedded(tape, store, x, valid, rng);
+        let out = self.forward_embedded(tape, store, x, valid, 0..ids.len(), rng);
         if let Some(sw) = timed {
             use std::sync::OnceLock;
             static FORWARD_SECS: OnceLock<em_obs::metrics::Histogram> = OnceLock::new();
@@ -406,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn single_row_forward_matches_the_full_forward_bitwise() {
+    fn row_range_forward_matches_the_sliced_full_forward_bitwise() {
         let mut rng = StdRng::seed_from_u64(42);
         let mut store = ParamStore::new();
         let cfg = LmConfig {
@@ -420,11 +374,14 @@ mod tests {
         };
         let enc = Encoder::new(&mut store, cfg, &mut rng);
         let ids = [2usize, 9, 8, 7, 6, 3];
-        // Train-mode (dropout draws burned around the live row), a padded
-        // sequence (masked row path), and inference — each must agree with
-        // the sliced full forward to the bit, including the RNG exit state.
-        for (train, valid) in [(true, ids.len()), (true, 4), (false, ids.len())] {
-            for row in [0, 3, ids.len() - 1] {
+        let seq = ids.len();
+        // Train-mode (dropout draws burned around the live rows), a padded
+        // sequence (masked range path), and inference — each must agree
+        // with the sliced full forward to the bit, including the RNG exit
+        // state. Single rows at the start, middle and end, a middle range,
+        // a range ending at the last row, and the whole sequence.
+        for (train, valid) in [(true, seq), (true, 4), (false, seq)] {
+            for rows in [0..1, 3..4, seq - 1..seq, 1..4, 2..seq, 0..seq] {
                 let fresh = || StdRng::seed_from_u64(4242);
                 let (mut ra, mut rb) = (fresh(), fresh());
                 let mut ta = if train {
@@ -433,24 +390,24 @@ mod tests {
                     Tape::inference()
                 };
                 let xa = enc.embed(&mut ta, &store, &ids, &mut ra);
-                let h = enc.forward_embedded(&mut ta, &store, xa, valid, &mut ra);
-                let hr = ta.slice_rows(h, row, 1);
+                let h = enc.forward_embedded(&mut ta, &store, xa, valid, 0..seq, &mut ra);
+                let hr = ta.slice_rows(h, rows.start, rows.len());
                 let mut tb = if train {
                     Tape::new()
                 } else {
                     Tape::inference()
                 };
                 let xb = enc.embed(&mut tb, &store, &ids, &mut rb);
-                let hb = enc.forward_embedded_row(&mut tb, &store, xb, valid, row, &mut rb);
+                let hb = enc.forward_embedded(&mut tb, &store, xb, valid, rows.clone(), &mut rb);
                 assert_eq!(
                     ta.value(hr).data(),
                     tb.value(hb).data(),
-                    "train={train} valid={valid} row={row}: values diverged"
+                    "train={train} valid={valid} rows={rows:?}: values diverged"
                 );
                 assert_eq!(
                     ra.state(),
                     rb.state(),
-                    "train={train} valid={valid} row={row}: RNG streams diverged"
+                    "train={train} valid={valid} rows={rows:?}: RNG streams diverged"
                 );
             }
         }

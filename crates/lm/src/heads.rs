@@ -40,7 +40,7 @@ impl MlmHead {
         hidden: Var,
     ) -> Var {
         let h = self.transform_rows(tape, store, hidden);
-        let table = encoder.tok_emb.table_var(tape, store); // (V, d)
+        let table = tape.param(store, encoder.tok_emb.table); // (V, d)
         let scores = tape.matmul_nt(h, table); // (n, V), no transposed copy
         let bias = tape.param(store, self.bias);
         tape.add_row_broadcast(scores, bias)

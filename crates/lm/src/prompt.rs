@@ -305,7 +305,7 @@ impl PromptTemplate {
     /// BiLSTM/projection stack is RNG-free and depends only on the store,
     /// so its output is identical on every forward until the next optimizer
     /// step — scoring loops compute it once and splice the cached copy via
-    /// [`PromptTemplate::forward_with_rows`] instead of re-running the
+    /// [`PromptTemplate::forward_mask_row`] instead of re-running the
     /// stack per pair (it dominates matmul call counts otherwise).
     /// `None` for hard templates.
     pub fn prompt_rows_matrix(&self, store: &ParamStore) -> Option<Matrix> {
@@ -316,11 +316,12 @@ impl PromptTemplate {
         })
     }
 
-    /// The exact sequence length a [`PromptTemplate::forward`] over entity
-    /// serializations of `la` and `lb` tokens produces under the encoder's
-    /// `max_len`: the clipped entity budget plus the template overhead.
-    /// Combined with [`Encoder::dropout_draws`] this lets the sharded
-    /// scorer compute per-pair RNG consumption without running a forward.
+    /// The exact sequence length [`PromptTemplate::embed_template`] lays out
+    /// for entity serializations of `la` and `lb` tokens under the
+    /// encoder's `max_len`: the clipped entity budget plus the template
+    /// overhead. Combined with [`Encoder::dropout_draws`] this lets the
+    /// sharded scorer compute per-pair RNG consumption without running a
+    /// forward.
     pub fn seq_len(&self, max_len: usize, la: usize, lb: usize) -> usize {
         let budget = max_len.saturating_sub(self.overhead());
         let (ka, kb) = split_budget(la, lb, budget);
@@ -328,48 +329,15 @@ impl PromptTemplate {
     }
 
     /// Encode a serialized pair through the template and run the LM
-    /// encoder. Returns the hidden states and the row of the `[MASK]`
-    /// position.
-    pub fn forward(
-        &self,
-        tape: &mut impl TapeExec,
-        store: &ParamStore,
-        lm: &Encoder,
-        ids_a: &[usize],
-        ids_b: &[usize],
-        rng: &mut impl Rng,
-    ) -> (Var, usize) {
-        self.forward_with_rows(tape, store, lm, ids_a, ids_b, None, rng)
-    }
-
-    /// [`PromptTemplate::forward`] with an optional precomputed prompt-row
-    /// matrix (from [`PromptTemplate::prompt_rows_matrix`]). With
-    /// `cached_rows` the prompt encoder is not run — bit-exact, since its
-    /// stack consumes no RNG and the cached values are its exact outputs.
-    /// Training paths must pass `None` so gradients reach the prompt table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_with_rows(
-        &self,
-        tape: &mut impl TapeExec,
-        store: &ParamStore,
-        lm: &Encoder,
-        ids_a: &[usize],
-        ids_b: &[usize],
-        cached_rows: Option<&Matrix>,
-        rng: &mut impl Rng,
-    ) -> (Var, usize) {
-        let (x, pos, mask_row) =
-            self.embed_template(tape, store, lm, ids_a, ids_b, cached_rows, rng);
-        let hidden = lm.forward_embedded(tape, store, x, pos, rng);
-        (hidden, mask_row)
-    }
-
-    /// [`PromptTemplate::forward_with_rows`] when only the `[MASK]` row of
-    /// the final hidden states is consumed (scoring and embedding paths):
-    /// the last encoder layer computes just that row via
-    /// [`Encoder::forward_embedded_row`]. Returns the `(1, d_model)` mask
-    /// hidden state, bit-identical to slicing the full forward's mask row —
-    /// including the RNG stream, since skipped dropout draws are burned.
+    /// encoder, returning the `(1, d_model)` final hidden state of the
+    /// `[MASK]` position: the only row that the verbalizer (Eq. 1), scoring
+    /// and `embed` read. The last encoder layer computes just that row
+    /// ([`Encoder::forward_embedded`] over `m..m + 1`), bit-identical to
+    /// the full forward's mask row, RNG stream included. With `cached_rows`
+    /// (from [`PromptTemplate::prompt_rows_matrix`]) the prompt encoder is
+    /// not run, which is bit-exact: its stack consumes no RNG and the
+    /// cached values are its exact outputs. Training paths must pass
+    /// `None` so gradients reach the prompt table.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_mask_row(
         &self,
@@ -381,16 +349,16 @@ impl PromptTemplate {
         cached_rows: Option<&Matrix>,
         rng: &mut impl Rng,
     ) -> Var {
-        let (x, pos, mask_row) =
-            self.embed_template(tape, store, lm, ids_a, ids_b, cached_rows, rng);
-        lm.forward_embedded_row(tape, store, x, pos, mask_row, rng)
+        let (x, seq, m) = self.embed_template(tape, store, lm, ids_a, ids_b, cached_rows, rng);
+        lm.forward_embedded(tape, store, x, seq, m..m + 1, rng)
     }
 
-    /// Shared front half of the template forwards: lay out the segments,
-    /// splice prompt rows, and build the embedded input. Returns the
-    /// embedded rows, the sequence length, and the `[MASK]` row index.
+    /// The front half of [`PromptTemplate::forward_mask_row`]: lay out
+    /// the segments, splice prompt rows (`cached_rows` as there), and build
+    /// the embedded input. Returns the embedded rows, the sequence length
+    /// (every position is valid), and the `[MASK]` row index.
     #[allow(clippy::too_many_arguments)]
-    fn embed_template(
+    pub fn embed_template(
         &self,
         tape: &mut impl TapeExec,
         store: &ParamStore,
@@ -541,6 +509,21 @@ mod tests {
         (store, enc, tokenizer, rng)
     }
 
+    /// The full template forward from the public pieces: every final
+    /// hidden row, and the `[MASK]` row index.
+    fn full_forward(
+        tmpl: &PromptTemplate,
+        tape: &mut impl TapeExec,
+        store: &ParamStore,
+        enc: &Encoder,
+        (a, b): (&[usize], &[usize]),
+        rng: &mut impl Rng,
+    ) -> (Var, usize) {
+        let (x, seq, mask_row) = tmpl.embed_template(tape, store, enc, a, b, None, rng);
+        let h = enc.forward_embedded(tape, store, x, seq, 0..seq, rng);
+        (h, mask_row)
+    }
+
     #[test]
     fn label_word_sets_match_paper() {
         let d = LabelWords::designed();
@@ -565,8 +548,7 @@ mod tests {
         let a = tok.encode("blue cafe");
         let b = tok.encode("red diner");
         let mut tape = Tape::inference();
-        let (h, mask_row) = tmpl.forward(&mut tape, &store, &enc, &a, &b, &mut rng);
-        let hm = tape.slice_rows(h, mask_row, 1);
+        let hm = tmpl.forward_mask_row(&mut tape, &store, &enc, &a, &b, None, &mut rng);
         let head = crate::heads::MlmHead::new(&mut store, &enc, &mut rng);
         let logits = head.logits(&mut tape, &store, &enc, hm);
         let probs = verb.class_probs(&mut tape, logits);
@@ -669,7 +651,8 @@ mod tests {
                     &mut rng,
                 );
                 let mut tape = Tape::inference();
-                let (h, mask_row) = tmpl.forward(&mut tape, &store, &enc, &a, &b, &mut rng);
+                let (h, mask_row) =
+                    full_forward(&tmpl, &mut tape, &store, &enc, (&a, &b), &mut rng);
                 let hm = tape.value(h);
                 assert!(
                     mask_row < hm.rows(),
@@ -694,7 +677,7 @@ mod tests {
         let a = tok.encode("blue cafe");
         let b = tok.encode("red diner");
         let mut tape = Tape::inference();
-        let (h, mask_row) = tmpl.forward(&mut tape, &store, &enc, &a, &b, &mut rng);
+        let (h, mask_row) = full_forward(&tmpl, &mut tape, &store, &enc, (&a, &b), &mut rng);
         // T1 continuous: CLS + a + SEP + b + SEP + 2 prompt + MASK (last row)
         assert_eq!(mask_row, tape.value(h).rows() - 1);
     }
@@ -712,7 +695,7 @@ mod tests {
         );
         let long: Vec<usize> = tok.encode("blue cafe name red diner").repeat(20);
         let mut tape = Tape::inference();
-        let (h, mask_row) = tmpl.forward(&mut tape, &store, &enc, &long, &long, &mut rng);
+        let (h, mask_row) = full_forward(&tmpl, &mut tape, &store, &enc, (&long, &long), &mut rng);
         assert!(tape.value(h).rows() <= enc.cfg.max_len);
         assert!(mask_row < tape.value(h).rows());
     }
@@ -751,8 +734,7 @@ mod tests {
                 let fresh = || StdRng::seed_from_u64(72);
                 let (mut ra, mut rb) = (fresh(), fresh());
                 let mut ta = Tape::new();
-                let (h, mask_row) =
-                    tmpl.forward_with_rows(&mut ta, &store, &enc, &a, &b, None, &mut ra);
+                let (h, mask_row) = full_forward(&tmpl, &mut ta, &store, &enc, (&a, &b), &mut ra);
                 let hr = ta.slice_rows(h, mask_row, 1);
                 let mut tb = Tape::new();
                 let hb = tmpl.forward_mask_row(&mut tb, &store, &enc, &a, &b, None, &mut rb);
@@ -786,8 +768,7 @@ mod tests {
         let a = tok.encode("blue cafe");
         let b = tok.encode("red diner");
         let mut tape = Tape::new();
-        let (h, mask_row) = tmpl.forward(&mut tape, &store, &enc, &a, &b, &mut rng);
-        let hm = tape.slice_rows(h, mask_row, 1);
+        let hm = tmpl.forward_mask_row(&mut tape, &store, &enc, &a, &b, None, &mut rng);
         let logits = head.logits(&mut tape, &store, &enc, hm);
         let probs = verb.class_probs(&mut tape, logits);
         let loss = tape.nll_probs(probs, &[0]);
@@ -851,7 +832,7 @@ mod tests {
                         draws: 0,
                     };
                     let mut tape = Tape::new();
-                    let (h, _) = tmpl.forward(&mut tape, &store, &enc, a, b, &mut counter);
+                    let (h, _) = full_forward(&tmpl, &mut tape, &store, &enc, (a, b), &mut counter);
                     assert_eq!(
                         tape.value(h).rows(),
                         predicted,

@@ -3,9 +3,24 @@
 
 use em_lm::prompt::{LabelWords, PromptMode, PromptTemplate, TemplateId, Verbalizer};
 use em_lm::{Encoder, LmConfig, Tokenizer};
-use em_nn::{ParamStore, Tape, TapeExec};
+use em_nn::{ParamStore, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The full template forward from the public pieces: every final hidden
+/// row, and the `[MASK]` row index.
+fn full_forward(
+    tmpl: &PromptTemplate,
+    tape: &mut Tape,
+    store: &ParamStore,
+    enc: &Encoder,
+    (a, b): (&[usize], &[usize]),
+    rng: &mut StdRng,
+) -> (Var, usize) {
+    let (x, seq, mask_row) = tmpl.embed_template(tape, store, enc, a, b, None, rng);
+    let h = enc.forward_embedded(tape, store, x, seq, 0..seq, rng);
+    (h, mask_row)
+}
 
 fn setup(max_len: usize) -> (ParamStore, Encoder, Tokenizer, StdRng) {
     let tok = Tokenizer::fit(
@@ -35,7 +50,7 @@ fn empty_sides_still_produce_a_mask_position() {
             let tmpl =
                 PromptTemplate::new(&mut store, &tok, enc.cfg.d_model, template, mode, &mut rng);
             let mut tape = Tape::inference();
-            let (h, mask_row) = tmpl.forward(&mut tape, &store, &enc, &[], &[], &mut rng);
+            let (h, mask_row) = full_forward(&tmpl, &mut tape, &store, &enc, (&[], &[]), &mut rng);
             assert!(mask_row < tape.value(h).rows(), "{template:?}/{mode:?}");
         }
     }
@@ -55,13 +70,13 @@ fn asymmetric_lengths_share_the_budget() {
     let long: Vec<usize> = tok.encode("alpha beta gamma delta").repeat(20);
     let short = tok.encode("alpha");
     let mut tape = Tape::inference();
-    let (h, mask_row) = tmpl.forward(&mut tape, &store, &enc, &long, &short, &mut rng);
+    let (h, mask_row) = full_forward(&tmpl, &mut tape, &store, &enc, (&long, &short), &mut rng);
     assert!(tape.value(h).rows() <= 24);
     assert!(mask_row < tape.value(h).rows());
 
     // Swap sides: still fits.
     let mut tape = Tape::inference();
-    let (h, _) = tmpl.forward(&mut tape, &store, &enc, &short, &long, &mut rng);
+    let (h, _) = full_forward(&tmpl, &mut tape, &store, &enc, (&short, &long), &mut rng);
     assert!(tape.value(h).rows() <= 24);
 }
 

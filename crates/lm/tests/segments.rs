@@ -53,10 +53,8 @@ fn batch_grads(segmented: bool) -> Vec<Vec<u32>> {
     let mut tape = Tape::new();
     let mut rows = Vec::new();
     for (a, b) in &pairs {
-        let mut example = |tape: &mut Tape| {
-            let (h, mask_row) = tmpl.forward(tape, &store, &enc, a, b, &mut rng);
-            tape.slice_rows(h, mask_row, 1)
-        };
+        let mut example =
+            |tape: &mut Tape| tmpl.forward_mask_row(tape, &store, &enc, a, b, None, &mut rng);
         rows.push(match segmented {
             true => tape.segment(example),
             false => example(&mut tape),

@@ -3,9 +3,10 @@
 
 use super::linear::Linear;
 use crate::optim::ParamStore;
-use crate::tape::{TapeExec, Var};
+use crate::tape::{burn_draws, TapeExec, Var};
 use crate::tensor::Matrix;
 use rand::Rng;
+use std::ops::Range;
 
 /// Multi-head self-attention block with learned Q/K/V/output projections.
 #[derive(Clone)]
@@ -69,85 +70,45 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// Build the additive mask matrix for a sequence where positions
-    /// `valid_len..seq_len` are padding: masked columns get -1e9.
-    pub fn padding_mask(seq_len: usize, valid_len: usize) -> Matrix {
+    /// The additive padding mask for query rows `rows` of a `seq_len`
+    /// sequence whose positions `valid_len..seq_len` are padding: masked key
+    /// columns get -1e9. Masking depends only on the key column, so every
+    /// row is the same.
+    pub fn padding_mask(rows: Range<usize>, seq_len: usize, valid_len: usize) -> Matrix {
         Matrix::from_fn(
-            seq_len,
+            rows.len(),
             seq_len,
             |_, c| if c < valid_len { 0.0 } else { -1e9 },
         )
     }
 
-    /// The additive mask row any single query sees under
-    /// [`MultiHeadSelfAttention::padding_mask`]: masking depends only on
-    /// the key column, so every query row of the full mask is identical.
-    pub fn padding_mask_row(seq_len: usize, valid_len: usize) -> Matrix {
-        Matrix::from_fn(1, seq_len, |_, c| if c < valid_len { 0.0 } else { -1e9 })
-    }
-
-    /// [`MultiHeadSelfAttention::forward`] restricted to one query row:
-    /// keys and values still span the full sequence, but the query
-    /// projection, scores, softmax and output projection cover row `row`
-    /// only. Bit-exact with row `row` of the full forward — every kernel
-    /// in the path accumulates each output row independently and in the
-    /// same element order — and RNG-transparent: the dropout draws for
-    /// the skipped score rows are burned at their exact stream positions
-    /// ([`crate::tape::burn_draws`]), so the generator leaves this call
-    /// in the state the full forward would have left it.
-    pub fn forward_row(
-        &self,
-        tape: &mut impl TapeExec,
-        store: &ParamStore,
-        x: Var,
-        row: usize,
-        mask_row: Option<&Matrix>,
-        rng: &mut impl Rng,
-    ) -> Var {
-        let seq = tape.value(x).rows();
-        let xr = tape.slice_rows(x, row, 1);
-        let q = self.wq.forward(tape, store, xr);
-        let k = self.wk.forward(tape, store, x);
-        let v = self.wv.forward(tape, store, x);
-        let scale = 1.0 / (self.d_head as f32).sqrt();
-        let burn = tape.is_train() && self.dropout > 0.0;
-
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let off = h * self.d_head;
-            let qh = tape.slice_cols(q, off, self.d_head);
-            let kh = tape.slice_cols(k, off, self.d_head);
-            let vh = tape.slice_cols(v, off, self.d_head);
-            let scores = tape.matmul_nt(qh, kh);
-            let scores = tape.scale(scores, scale);
-            let scores = match mask_row {
-                Some(m) => tape.add_const(scores, m),
-                None => scores,
-            };
-            let attn = tape.softmax_rows(scores);
-            if burn {
-                crate::tape::burn_draws(rng, row * seq);
-            }
-            let attn = tape.dropout(attn, self.dropout, rng);
-            if burn {
-                crate::tape::burn_draws(rng, (seq - 1 - row) * seq);
-            }
-            head_outputs.push(tape.matmul(attn, vh));
-        }
-        let concat = tape.concat_cols(&head_outputs);
-        self.wo.forward(tape, store, concat)
-    }
-
-    /// `x` is `(seq, d_model)`; `mask` (optional) is `(seq, seq)` additive.
+    /// The output rows `rows` of self-attention over `x` `(seq, d_model)`;
+    /// `mask` (optional) is the `(rows.len(), seq)` additive mask. Keys and
+    /// values span all of `x`; the query projection, scores, softmax and
+    /// output projection cover `rows` only, and `0..seq` is the full
+    /// forward. Each output row is bit-identical to that row of the full
+    /// forward, since every kernel on the path computes its output rows
+    /// independently and in the same element order. The attention-weight
+    /// dropout burns the draws of the rows before and after `rows` at their
+    /// stream positions ([`burn_draws`]), so the RNG leaves this call in
+    /// the state the full forward leaves it.
     pub fn forward(
         &self,
         tape: &mut impl TapeExec,
         store: &ParamStore,
         x: Var,
+        rows: Range<usize>,
         mask: Option<&Matrix>,
         rng: &mut impl Rng,
     ) -> Var {
-        let q = self.wq.forward(tape, store, x);
+        let seq = tape.value(x).rows();
+        let (before, after) = if tape.is_train() && self.dropout > 0.0 {
+            (rows.start, seq - rows.end)
+        } else {
+            (0, 0)
+        };
+        let xq = tape.slice_row_range(x, rows);
+        let q = self.wq.forward(tape, store, xq);
         let k = self.wk.forward(tape, store, x);
         let v = self.wv.forward(tape, store, x);
         let scale = 1.0 / (self.d_head as f32).sqrt();
@@ -165,7 +126,9 @@ impl MultiHeadSelfAttention {
                 None => scores,
             };
             let attn = tape.softmax_rows(scores);
+            burn_draws(rng, before * seq);
             let attn = tape.dropout(attn, self.dropout, rng);
+            burn_draws(rng, after * seq);
             head_outputs.push(tape.matmul(attn, vh));
         }
         let concat = tape.concat_cols(&head_outputs);
@@ -196,7 +159,7 @@ mod tests {
         let attn = MultiHeadSelfAttention::new(&mut store, "a", 8, 2, 0.0, &mut rng);
         let mut tape = Tape::inference();
         let x = tape.constant(Matrix::from_fn(5, 8, |r, c| ((r + c) as f32).sin()));
-        let y = attn.forward(&mut tape, &store, x, None, &mut rng);
+        let y = attn.forward(&mut tape, &store, x, 0..5, None, &mut rng);
         assert_eq!(tape.value(y).shape(), (5, 8));
     }
 
@@ -214,7 +177,7 @@ mod tests {
             alt.set(3, c, 99.0);
             alt.set(2, c, -99.0);
         }
-        let mask = MultiHeadSelfAttention::padding_mask(4, 2);
+        let mask = MultiHeadSelfAttention::padding_mask(0..4, 4, 2);
 
         let mut t1 = Tape::inference();
         let x1 = t1.constant(base);
@@ -251,7 +214,7 @@ mod tests {
             mask: &Matrix,
             rng: &mut StdRng,
         ) -> Var {
-            attn.forward(self, store, x, Some(mask), rng)
+            attn.forward(self, store, x, 0..4, Some(mask), rng)
         }
     }
 
@@ -264,7 +227,7 @@ mod tests {
         let x = tape.constant(Matrix::from_fn(3, 8, |r, c| {
             ((r * 8 + c) as f32 * 0.1).sin()
         }));
-        let y = attn.forward(&mut tape, &store, x, None, &mut rng);
+        let y = attn.forward(&mut tape, &store, x, 0..3, None, &mut rng);
         let loss = tape.mean_all(y);
         tape.backward(loss);
         tape.accumulate_param_grads(&mut store);

@@ -36,11 +36,6 @@ impl Embedding {
         let table = tape.param(store, self.table);
         tape.gather_rows(table, ids)
     }
-
-    /// The raw table as a tape var (for tied output projections).
-    pub fn table_var(&self, tape: &mut impl TapeExec, store: &ParamStore) -> Var {
-        tape.param(store, self.table)
-    }
 }
 
 #[cfg(test)]

@@ -305,7 +305,10 @@ mod tests {
             store.zero_grads();
             let mut tape = Tape::new();
             let wv = tape.param(&store, w);
-            let loss = tape.mse_loss(wv, &target);
+            let t = tape.constant(target.clone());
+            let diff = tape.sub(wv, t);
+            let sq = tape.mul(diff, diff);
+            let loss = tape.mean_all(sq);
             tape.backward(loss);
             tape.accumulate_param_grads(&mut store);
             step(&mut store);

@@ -378,11 +378,6 @@ mod hook {
             targets: Vec<usize>,
             probs: Matrix,
         },
-        /// Mean squared error against a constant target.
-        MseLoss {
-            pred: Var,
-            target: Matrix,
-        },
         /// Mean negative log likelihood over rows of an already-normalized
         /// probability matrix (used by verbalizer losses, where class
         /// probabilities are averages of word probabilities — Eq. 1 of the
@@ -429,7 +424,6 @@ mod hook {
                 Op::MeanRows(..) => "mean_rows",
                 Op::MeanAll(..) => "mean_all",
                 Op::CrossEntropy { .. } => "cross_entropy",
-                Op::MseLoss { .. } => "mse_loss",
                 Op::NllProbs { .. } => "nll_probs",
                 Op::ColsMatmul { .. } => "cols_matmul",
             }
@@ -464,9 +458,8 @@ mod hook {
                 Op::MeanRows(..) => 22,
                 Op::MeanAll(..) => 23,
                 Op::CrossEntropy { .. } => 24,
-                Op::MseLoss { .. } => 25,
-                Op::NllProbs { .. } => 26,
-                Op::ColsMatmul { .. } => 27,
+                Op::NllProbs { .. } => 25,
+                Op::ColsMatmul { .. } => 26,
             }
         }
 
@@ -499,7 +492,6 @@ mod hook {
                 | Op::SliceRows { x: a, .. }
                 | Op::SliceCols { x: a, .. }
                 | Op::CrossEntropy { logits: a, .. }
-                | Op::MseLoss { pred: a, .. }
                 | Op::NllProbs { probs: a, .. }
                 | Op::ColsMatmul { x: a, .. } => f(*a),
                 Op::LayerNorm { x, gamma, beta, .. } => {
@@ -776,6 +768,15 @@ pub trait TapeExec: Record {
         check_slice("slice_rows", start + len, xm.rows());
         let value = xm.slice_rows(start, len);
         self.record(prof, value, || Op::SliceRows { x, start })
+    }
+
+    /// Rows `rows` of `x`: `x` itself, recording no node, when `rows`
+    /// spans all of it; else a [`TapeExec::slice_rows`] copy.
+    fn slice_row_range(&mut self, x: Var, rows: Range<usize>) -> Var {
+        if rows == (0..self.value(x).rows()) {
+            return x;
+        }
+        self.slice_rows(x, rows.start, rows.len())
     }
 
     /// Copy of columns `[start, start+len)`.
@@ -1086,19 +1087,6 @@ impl Tape {
         self.record(prof, Matrix::scalar(loss), || Op::NllProbs {
             probs,
             targets: targets.to_vec(),
-        })
-    }
-
-    /// Mean squared error against a constant target matrix. Scalar var.
-    pub fn mse_loss(&mut self, pred: Var, target: &Matrix) -> Var {
-        let prof = OpTimer::start();
-        let pm = &self.nodes[pred.0].value;
-        check_same_shape("mse_loss", pm.shape(), target.shape());
-        let diff = pm.sub(target);
-        let loss = diff.data().iter().map(|d| d * d).sum::<f32>() / pm.len() as f32;
-        self.record(prof, Matrix::scalar(loss), || Op::MseLoss {
-            pred,
-            target: target.clone(),
         })
     }
 
@@ -1520,12 +1508,6 @@ fn backprop(
             }
             emit(*probs, da.into());
         }
-        Op::MseLoss { pred, target } => {
-            let pm = &nodes[pred.0].value;
-            let c = 2.0 * g.item() / pm.len() as f32;
-            let da = pm.sub(target).scale(c);
-            emit(*pred, da.into());
-        }
         Op::ColsMatmul { x, cols, m } => {
             // The dense backward `g @ Mᵀ` is +0.0 off `cols`; on them it is
             // `g @ mᵀ`, each element summed over the same classes in the
@@ -1595,12 +1577,13 @@ pub fn nodes_recorded_on_thread() -> u64 {
     NODES_PUSHED.with(|c| c.get())
 }
 
-/// Advance `rng` past `n` dropout draws without using them. Single-row
-/// forwards (`MultiHeadSelfAttention::forward_row` and the encoder row
-/// path built on it) skip whole rows of each dropout mask but must leave
+/// Advance `rng` past `n` dropout draws without using them (none when `n`
+/// is 0). A forward over a range of output rows
+/// (`MultiHeadSelfAttention::forward` and the encoder layer built on it)
+/// skips the rows of each dropout mask outside the range but must leave
 /// the RNG in exactly the state the full forward would: the draws for the
 /// skipped rows are burned at their stream positions, so analytic draw
-/// counts (`Encoder::dropout_draws`) hold for both paths. One `next_u64`
+/// counts (`Encoder::dropout_draws`) hold for every range. One `next_u64`
 /// per element mirrors dropout's `gen::<f32>()`, which makes exactly one.
 pub fn burn_draws(rng: &mut impl rand::Rng, n: usize) {
     for _ in 0..n {
@@ -1956,12 +1939,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_mse() {
-        let target = Matrix::from_vec(2, 3, vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0]);
-        grad_check(test_input(), move |t, x| t.mse_loss(x, &target));
-    }
-
-    #[test]
     fn grad_mean_rows_broadcast() {
         let b = Matrix::from_vec(1, 3, vec![0.3, -0.2, 0.7]);
         grad_check(test_input(), move |t, x| {
@@ -2058,10 +2035,6 @@ mod tests {
                 logits: v,
                 targets: Vec::new(),
                 probs: m.clone(),
-            },
-            Op::MseLoss {
-                pred: v,
-                target: m.clone(),
             },
             Op::NllProbs {
                 probs: v,

@@ -69,7 +69,7 @@ fn attention_projection_gradients_are_correct() {
             param,
             &mut move |tape, store| {
                 let xv = tape.constant(x_ref.clone());
-                let y = attn_ref.forward(tape, store, xv, None, &mut rng2);
+                let y = attn_ref.forward(tape, store, xv, 0..4, None, &mut rng2);
                 tape.mean_all(y)
             },
             3e-2,

@@ -164,7 +164,7 @@ pub const ALL_SPAN_NAMES: [&str; 21] = [
 /// op in this array is its slot in the op-profiler's accumulation table
 /// (`em-nn` pins the correspondence with a test), and the `em-lint`
 /// `op_name` rule requires `op_stats` op strings to come from here.
-pub const ALL_OP_NAMES: [&str; 28] = [
+pub const ALL_OP_NAMES: [&str; 27] = [
     "leaf",
     "matmul",
     "add",
@@ -190,7 +190,6 @@ pub const ALL_OP_NAMES: [&str; 28] = [
     "mean_rows",
     "mean_all",
     "cross_entropy",
-    "mse_loss",
     "nll_probs",
     "cols_matmul",
 ];
