@@ -8,6 +8,7 @@
 use crate::encode::{EncodedPair, Example};
 use crate::model::run_training;
 use crate::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
+use em_lm::prompt::split_budget;
 use em_lm::tokenizer::{CLS, SEP};
 use em_lm::{ClsHead, PretrainedLm};
 use em_nn::{AdamW, NoGradTape, ParamStore, Tape, TapeExec, Var};
@@ -51,15 +52,7 @@ impl FineTuneModel {
     /// Build `[CLS] a [SEP] b [SEP]` within the model's max length.
     pub fn pair_ids(&self, p: &EncodedPair) -> Vec<usize> {
         let budget = self.lm.max_len().saturating_sub(3);
-        let la = p.ids_a.len();
-        let lb = p.ids_b.len();
-        let (ka, kb) = if la + lb <= budget {
-            (la, lb)
-        } else {
-            let ka = (budget * la / (la + lb).max(1)).min(la);
-            let kb = (budget - ka).min(lb);
-            ((budget - kb).min(la), kb)
-        };
+        let (ka, kb) = split_budget(p.ids_a.len(), p.ids_b.len(), budget);
         let mut ids = Vec::with_capacity(ka + kb + 3);
         ids.push(CLS);
         ids.extend_from_slice(&p.ids_a[..ka]);

@@ -336,7 +336,8 @@ pub fn run_encoded_retained(
     em_nn::tape::flush_op_stats();
     // Record the final test score as a gauge so a shutdown metrics flush
     // makes the trace self-contained for `promptem report`.
-    em_obs::metrics::gauge("core_test_f1", &[("dataset", &encoded.name)]).set(scores.f1);
+    em_obs::metrics::gauge(em_obs::names::METRIC_TEST_F1, &[("dataset", &encoded.name)])
+        .set(scores.f1);
     TrainedRun {
         result: RunResult {
             dataset: encoded.name.clone(),

@@ -468,8 +468,10 @@ impl PromptTemplate {
     }
 }
 
-/// Split a token budget proportionally between the two entity serializations.
-fn split_budget(la: usize, lb: usize, budget: usize) -> (usize, usize) {
+/// Split a token budget proportionally between the two entity
+/// serializations: `(ka, kb)` tokens of sides of lengths `la` and `lb`,
+/// both whole when they fit, else `ka + kb == budget`.
+pub fn split_budget(la: usize, lb: usize, budget: usize) -> (usize, usize) {
     if la + lb <= budget {
         return (la, lb);
     }

@@ -30,11 +30,9 @@ pub mod layers;
 pub mod mathf;
 pub mod opstats;
 pub mod optim;
-pub mod schedule;
 pub mod tape;
 pub mod tensor;
 
 pub use optim::{AdamW, ParamId, ParamStore, Sgd};
-pub use schedule::LrSchedule;
 pub use tape::{NoGradTape, Tape, TapeExec, Var};
 pub use tensor::Matrix;

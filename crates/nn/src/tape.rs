@@ -396,37 +396,10 @@ mod hook {
     }
 
     impl Op {
-        /// Static name of the op, used by diagnostics and telemetry.
+        /// Static name of the op, used by diagnostics and telemetry: its
+        /// entry in [`em_obs::names::ALL_OP_NAMES`].
         pub fn name(&self) -> &'static str {
-            match self {
-                Op::Leaf => "leaf",
-                Op::Matmul(..) => "matmul",
-                Op::Add(..) => "add",
-                Op::AddRowBroadcast(..) => "add_row_broadcast",
-                Op::Sub(..) => "sub",
-                Op::Mul(..) => "mul",
-                Op::Scale(..) => "scale",
-                Op::AddConst(..) => "add_const",
-                Op::GradReverse(..) => "grad_reverse",
-                Op::Transpose(..) => "transpose",
-                Op::Tanh(..) => "tanh",
-                Op::Sigmoid(..) => "sigmoid",
-                Op::Gelu(..) => "gelu",
-                Op::Relu(..) => "relu",
-                Op::SoftmaxRows(..) => "softmax_rows",
-                Op::LayerNorm { .. } => "layer_norm",
-                Op::GatherRows { .. } => "gather_rows",
-                Op::Dropout { .. } => "dropout",
-                Op::ConcatRows(..) => "concat_rows",
-                Op::ConcatCols(..) => "concat_cols",
-                Op::SliceRows { .. } => "slice_rows",
-                Op::SliceCols { .. } => "slice_cols",
-                Op::MeanRows(..) => "mean_rows",
-                Op::MeanAll(..) => "mean_all",
-                Op::CrossEntropy { .. } => "cross_entropy",
-                Op::NllProbs { .. } => "nll_probs",
-                Op::ColsMatmul { .. } => "cols_matmul",
-            }
+            em_obs::names::ALL_OP_NAMES[self.index()]
         }
 
         /// The op's slot in the profiler table — its position in
@@ -1991,8 +1964,9 @@ mod tests {
 
     #[test]
     fn op_indices_match_the_obs_registry() {
-        // One of each variant; index() must be its position in
-        // em_obs::names::ALL_OP_NAMES and name() the string stored there.
+        // One of each variant, in registry order: the k-th op's index()
+        // must be k, so each variant reads its own name from
+        // em_obs::names::ALL_OP_NAMES.
         let v = Var(0);
         let m = Matrix::zeros(1, 1);
         let ops = vec![
@@ -2047,16 +2021,9 @@ mod tests {
             },
         ];
         assert_eq!(ops.len(), em_obs::names::ALL_OP_NAMES.len());
-        let mut seen = vec![false; ops.len()];
-        for op in &ops {
-            assert_eq!(
-                em_obs::names::ALL_OP_NAMES[op.index()],
-                op.name(),
-                "slot/name mismatch for {}",
-                op.name()
-            );
-            assert!(!seen[op.index()], "duplicate slot {}", op.index());
-            seen[op.index()] = true;
+        for (k, op) in ops.iter().enumerate() {
+            let name = em_obs::names::ALL_OP_NAMES[k];
+            assert_eq!(op.index(), k, "the {name} op is not in slot {k}");
         }
     }
 

@@ -14,6 +14,7 @@
 //! numeric fields encode as `null` when absent. The encoding is stable and
 //! round-trips through [`Event::parse`], which the sink tests assert.
 
+use crate::json::{FlatObject, ObjectWriter};
 use crate::level::Level;
 use crate::names;
 use std::fmt::Write as _;
@@ -445,68 +446,26 @@ impl EventKind {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_opt_u64(out: &mut String, key: &str, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, ",\"{key}\":{v}");
-        }
-        None => {
-            let _ = write!(out, ",\"{key}\":null");
-        }
-    }
-}
-
-fn push_opt_f64(out: &mut String, key: &str, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, ",\"{key}\":{v}");
-        }
-        None => {
-            let _ = write!(out, ",\"{key}\":null");
-        }
-    }
-}
-
-fn push_u64_array(out: &mut String, key: &str, vs: &[u64]) {
-    let _ = write!(out, ",\"{key}\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
 impl Event {
     /// Encode as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"seq\":{},\"seed\":{},\"t_us\":{}",
-            self.seq, self.seed, self.t_us
-        );
-        push_opt_u64(&mut s, "span", self.span);
-        let _ = write!(s, ",\"type\":\"{}\"", self.kind.type_tag());
+        self.encode(false)
+    }
+
+    /// Encode in canonical form: every measured field (a time, a size or a
+    /// rate) reads `0` or `null`, so two runs that made the same decisions
+    /// encode to the same bytes. The policy table is in [`crate::json`].
+    pub fn to_canonical_json(&self) -> String {
+        self.encode(true)
+    }
+
+    fn encode(&self, canonical: bool) -> String {
+        let mut w = ObjectWriter::new(canonical);
+        w.field("seq", &self.seq)
+            .field("seed", &self.seed)
+            .measured("t_us", &self.t_us)
+            .field("span", &self.span)
+            .field("type", self.kind.type_tag());
         match &self.kind {
             EventKind::SpanOpen {
                 id,
@@ -514,15 +473,10 @@ impl Event {
                 name,
                 detail,
             } => {
-                let _ = write!(s, ",\"id\":{id}");
-                push_opt_u64(&mut s, "parent", *parent);
-                s.push_str(",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(",\"detail\":");
-                match detail {
-                    Some(d) => push_json_str(&mut s, d),
-                    None => s.push_str("null"),
-                }
+                w.field("id", id)
+                    .field("parent", parent)
+                    .field("name", name)
+                    .field("detail", detail);
             }
             EventKind::SpanClose {
                 id,
@@ -531,13 +485,11 @@ impl Event {
                 heap_delta,
                 heap_peak,
             } => {
-                let _ = write!(s, ",\"id\":{id}");
-                s.push_str(",\"name\":");
-                push_json_str(&mut s, name);
-                let _ = write!(
-                    s,
-                    ",\"wall_us\":{wall_us},\"heap_delta\":{heap_delta},\"heap_peak\":{heap_peak}"
-                );
+                w.field("id", id)
+                    .field("name", name)
+                    .measured("wall_us", wall_us)
+                    .measured("heap_delta", heap_delta)
+                    .measured("heap_peak", heap_peak);
             }
             EventKind::EpochSummary {
                 epoch,
@@ -548,27 +500,25 @@ impl Event {
                 batches,
                 wall_us,
             } => {
-                let _ = write!(s, ",\"epoch\":{epoch},\"train_loss\":{train_loss}");
-                push_opt_f64(&mut s, "valid_f1", *valid_f1);
-                push_opt_f64(&mut s, "threshold", *threshold);
-                let _ = write!(
-                    s,
-                    ",\"examples\":{examples},\"batches\":{batches},\"wall_us\":{wall_us}"
-                );
+                w.field("epoch", epoch)
+                    .field("train_loss", train_loss)
+                    .field("valid_f1", valid_f1)
+                    .field("threshold", threshold)
+                    .field("examples", examples)
+                    .field("batches", batches)
+                    .measured("wall_us", wall_us);
             }
             EventKind::PseudoSelect { count, tpr, tnr } => {
-                let _ = write!(s, ",\"count\":{count}");
-                push_opt_f64(&mut s, "tpr", *tpr);
-                push_opt_f64(&mut s, "tnr", *tnr);
+                w.field("count", count).field("tpr", tpr).field("tnr", tnr);
             }
             EventKind::Prune { dropped, passes } => {
-                let _ = write!(s, ",\"dropped\":{dropped},\"passes\":{passes}");
+                w.field("dropped", dropped).field("passes", passes);
             }
             EventKind::PretrainStep { step, mlm_loss } => {
-                let _ = write!(s, ",\"step\":{step},\"mlm_loss\":{mlm_loss}");
+                w.field("step", step).field("mlm_loss", mlm_loss);
             }
             EventKind::Block { candidates } => {
-                let _ = write!(s, ",\"candidates\":{candidates}");
+                w.field("candidates", candidates);
             }
             EventKind::NonFinite {
                 op,
@@ -577,12 +527,11 @@ impl Event {
                 bad,
                 total,
             } => {
-                s.push_str(",\"op\":");
-                push_json_str(&mut s, op);
-                let _ = write!(s, ",\"node\":{node}");
-                s.push_str(",\"stage\":");
-                push_json_str(&mut s, stage);
-                let _ = write!(s, ",\"bad\":{bad},\"total\":{total}");
+                w.field("op", op)
+                    .field("node", node)
+                    .field("stage", stage)
+                    .field("bad", bad)
+                    .field("total", total);
             }
             EventKind::Audit {
                 nodes,
@@ -590,15 +539,13 @@ impl Event {
                 detached,
                 unused,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"nodes\":{nodes},\"dead\":{dead},\"detached\":{detached},\"unused\":{unused}"
-                );
+                w.field("nodes", nodes)
+                    .field("dead", dead)
+                    .field("detached", detached)
+                    .field("unused", unused);
             }
             EventKind::Message { level, text } => {
-                let _ = write!(s, ",\"level\":\"{}\"", level.name());
-                s.push_str(",\"text\":");
-                push_json_str(&mut s, text);
+                w.field("level", level.name()).field("text", text);
             }
             EventKind::UncHist {
                 source,
@@ -607,10 +554,11 @@ impl Event {
                 mean,
                 counts,
             } => {
-                s.push_str(",\"source\":");
-                push_json_str(&mut s, source);
-                let _ = write!(s, ",\"lo\":{lo},\"hi\":{hi},\"mean\":{mean}");
-                push_u64_array(&mut s, "counts", counts);
+                w.field("source", source)
+                    .field("lo", lo)
+                    .field("hi", hi)
+                    .field("mean", mean)
+                    .array("counts", counts);
             }
             EventKind::Metric {
                 name,
@@ -621,18 +569,23 @@ impl Event {
                 p95,
                 p99,
             } => {
-                s.push_str(",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(",\"kind\":");
-                push_json_str(&mut s, kind);
-                let _ = write!(s, ",\"value\":{value}");
-                push_opt_u64(&mut s, "count", *count);
-                push_opt_f64(&mut s, "p50", *p50);
-                push_opt_f64(&mut s, "p95", *p95);
-                push_opt_f64(&mut s, "p99", *p99);
+                w.field("name", name).field("kind", kind);
+                // A histogram's value is its mean, a timing statistic; a
+                // counter's or gauge's value is what the run did.
+                if kind == "histogram" {
+                    w.measured("value", value);
+                } else {
+                    w.field("value", value);
+                }
+                w.measured("count", count)
+                    .measured("p50", p50)
+                    .measured("p95", p95)
+                    .measured("p99", p99);
             }
             EventKind::CkptSave { step, bytes, kept } => {
-                let _ = write!(s, ",\"step\":{step},\"bytes\":{bytes},\"kept\":{kept}");
+                w.field("step", step)
+                    .measured("bytes", bytes)
+                    .field("kept", kept);
             }
             EventKind::CkptRestore {
                 step,
@@ -640,19 +593,19 @@ impl Event {
                 epochs,
                 batches,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"step\":{step},\"pretrain_steps\":{pretrain_steps},\"epochs\":{epochs},\"batches\":{batches}"
-                );
+                w.field("step", step)
+                    .field("pretrain_steps", pretrain_steps)
+                    .field("epochs", epochs)
+                    .field("batches", batches);
             }
             EventKind::RecoveredBatch {
                 phase,
                 step,
                 consecutive,
             } => {
-                s.push_str(",\"phase\":");
-                push_json_str(&mut s, phase);
-                let _ = write!(s, ",\"step\":{step},\"consecutive\":{consecutive}");
+                w.field("phase", phase)
+                    .field("step", step)
+                    .field("consecutive", consecutive);
             }
             EventKind::IoRetry {
                 op,
@@ -660,12 +613,10 @@ impl Event {
                 delay_ms,
                 gave_up,
             } => {
-                s.push_str(",\"op\":");
-                push_json_str(&mut s, op);
-                let _ = write!(
-                    s,
-                    ",\"attempt\":{attempt},\"delay_ms\":{delay_ms},\"gave_up\":{gave_up}"
-                );
+                w.field("op", op)
+                    .field("attempt", attempt)
+                    .field("delay_ms", delay_ms)
+                    .field("gave_up", gave_up);
             }
             EventKind::OpStats {
                 op,
@@ -676,12 +627,13 @@ impl Event {
                 elems,
                 bytes,
             } => {
-                s.push_str(",\"op\":");
-                push_json_str(&mut s, op);
-                let _ = write!(
-                    s,
-                    ",\"fwd_calls\":{fwd_calls},\"fwd_us\":{fwd_us},\"bwd_calls\":{bwd_calls},\"bwd_us\":{bwd_us},\"elems\":{elems},\"bytes\":{bytes}"
-                );
+                w.field("op", op)
+                    .field("fwd_calls", fwd_calls)
+                    .measured("fwd_us", fwd_us)
+                    .field("bwd_calls", bwd_calls)
+                    .measured("bwd_us", bwd_us)
+                    .field("elems", elems)
+                    .measured("bytes", bytes);
             }
             EventKind::Progress {
                 phase,
@@ -694,15 +646,15 @@ impl Event {
                 tape_nodes,
                 heap_peak,
             } => {
-                s.push_str(",\"phase\":");
-                push_json_str(&mut s, phase);
-                let _ = write!(
-                    s,
-                    ",\"done\":{done},\"total\":{total},\"examples\":{examples},\"ex_per_sec\":{ex_per_sec}"
-                );
-                push_opt_f64(&mut s, "loss", *loss);
-                push_opt_u64(&mut s, "eta_us", *eta_us);
-                let _ = write!(s, ",\"tape_nodes\":{tape_nodes},\"heap_peak\":{heap_peak}");
+                w.field("phase", phase)
+                    .field("done", done)
+                    .field("total", total)
+                    .field("examples", examples)
+                    .measured("ex_per_sec", ex_per_sec)
+                    .field("loss", loss)
+                    .measured("eta_us", eta_us)
+                    .field("tape_nodes", tape_nodes)
+                    .measured("heap_peak", heap_peak);
             }
             EventKind::RunMeta {
                 seed,
@@ -711,17 +663,11 @@ impl Event {
                 build,
                 schema,
             } => {
-                let _ = write!(s, ",\"run_seed\":{seed}");
-                s.push_str(",\"config\":");
-                push_json_str(&mut s, config);
-                s.push_str(",\"git_sha\":");
-                match git_sha {
-                    Some(sha) => push_json_str(&mut s, sha),
-                    None => s.push_str("null"),
-                }
-                s.push_str(",\"build\":");
-                push_json_str(&mut s, build);
-                let _ = write!(s, ",\"schema\":{schema}");
+                w.field("run_seed", seed)
+                    .field("config", config)
+                    .field("git_sha", git_sha)
+                    .field("build", build)
+                    .field("schema", schema);
             }
             EventKind::Request {
                 id,
@@ -730,25 +676,20 @@ impl Event {
                 wall_us,
                 outcome,
             } => {
-                s.push_str(",\"id\":");
-                push_json_str(&mut s, id);
-                let _ = write!(
-                    s,
-                    ",\"pairs\":{pairs},\"queue\":{queue},\"wall_us\":{wall_us}"
-                );
-                s.push_str(",\"outcome\":");
-                push_json_str(&mut s, outcome);
+                w.field("id", id)
+                    .field("pairs", pairs)
+                    .field("queue", queue)
+                    .field("wall_us", wall_us)
+                    .field("outcome", outcome);
             }
             EventKind::Reject {
                 id,
                 reason,
                 retry_after_ms,
             } => {
-                s.push_str(",\"id\":");
-                push_json_str(&mut s, id);
-                s.push_str(",\"reason\":");
-                push_json_str(&mut s, reason);
-                let _ = write!(s, ",\"retry_after_ms\":{retry_after_ms}");
+                w.field("id", id)
+                    .field("reason", reason)
+                    .field("retry_after_ms", retry_after_ms);
             }
             EventKind::WorkerRestart {
                 worker,
@@ -756,12 +697,10 @@ impl Event {
                 backoff_ms,
                 reason,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"worker\":{worker},\"restarts\":{restarts},\"backoff_ms\":{backoff_ms}"
-                );
-                s.push_str(",\"reason\":");
-                push_json_str(&mut s, reason);
+                w.field("worker", worker)
+                    .field("restarts", restarts)
+                    .field("backoff_ms", backoff_ms)
+                    .field("reason", reason);
             }
             EventKind::Drain {
                 completed,
@@ -769,218 +708,171 @@ impl Event {
                 failed,
                 restarts,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"completed\":{completed},\"rejected\":{rejected},\"failed\":{failed},\"restarts\":{restarts}"
-                );
+                w.field("completed", completed)
+                    .field("rejected", rejected)
+                    .field("failed", failed)
+                    .field("restarts", restarts);
             }
         }
-        s.push('}');
-        s
+        w.finish()
     }
 
     /// Parse one JSONL line produced by [`Event::to_json`].
     pub fn parse(line: &str) -> Result<Event, String> {
-        let fields = parse_json_object(line)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{key}' in {line}"))
-        };
-        let num = |key: &str| -> Result<f64, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(*n),
-                other => Err(format!("field '{key}' is not a number: {other:?}")),
-            }
-        };
-        let opt_num = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(Some(*n)),
-                JsonVal::Null => Ok(None),
-                other => Err(format!("field '{key}' is not a number or null: {other:?}")),
-            }
-        };
-        let text = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                JsonVal::Str(s) => Ok(s.clone()),
-                other => Err(format!("field '{key}' is not a string: {other:?}")),
-            }
-        };
-        let opt_text = |key: &str| -> Result<Option<String>, String> {
-            match get(key)? {
-                JsonVal::Str(s) => Ok(Some(s.clone())),
-                JsonVal::Null => Ok(None),
-                other => Err(format!("field '{key}' is not a string or null: {other:?}")),
-            }
-        };
-        let u64_array = |key: &str| -> Result<Vec<u64>, String> {
-            match get(key)? {
-                JsonVal::Arr(vs) => Ok(vs.iter().map(|v| *v as u64).collect()),
-                other => Err(format!("field '{key}' is not an array: {other:?}")),
-            }
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            match get(key)? {
-                JsonVal::Bool(b) => Ok(*b),
-                other => Err(format!("field '{key}' is not a bool: {other:?}")),
-            }
-        };
-        let tag = text("type")?;
-        let kind = match tag.as_str() {
+        let f = FlatObject::parse(line)?;
+        let kind = match f.str("type")?.as_str() {
             names::EV_SPAN_OPEN => EventKind::SpanOpen {
-                id: num("id")? as u64,
-                parent: opt_num("parent")?.map(|v| v as u64),
-                name: text("name")?,
-                detail: opt_text("detail")?,
+                id: f.u64("id")?,
+                parent: f.opt_u64("parent")?,
+                name: f.str("name")?,
+                detail: f.opt_str("detail")?,
             },
             names::EV_SPAN_CLOSE => EventKind::SpanClose {
-                id: num("id")? as u64,
-                name: text("name")?,
-                wall_us: num("wall_us")? as u64,
-                heap_delta: num("heap_delta")? as i64,
-                heap_peak: num("heap_peak")? as u64,
+                id: f.u64("id")?,
+                name: f.str("name")?,
+                wall_us: f.u64("wall_us")?,
+                heap_delta: f.num("heap_delta")? as i64,
+                heap_peak: f.u64("heap_peak")?,
             },
             names::EV_EPOCH_SUMMARY => EventKind::EpochSummary {
-                epoch: num("epoch")? as u64,
-                train_loss: num("train_loss")?,
-                valid_f1: opt_num("valid_f1")?,
-                threshold: opt_num("threshold")?,
-                examples: num("examples")? as u64,
-                batches: num("batches")? as u64,
-                wall_us: num("wall_us")? as u64,
+                epoch: f.u64("epoch")?,
+                train_loss: f.num("train_loss")?,
+                valid_f1: f.opt_num("valid_f1")?,
+                threshold: f.opt_num("threshold")?,
+                examples: f.u64("examples")?,
+                batches: f.u64("batches")?,
+                wall_us: f.u64("wall_us")?,
             },
             names::EV_PSEUDO_SELECT => EventKind::PseudoSelect {
-                count: num("count")? as u64,
-                tpr: opt_num("tpr")?,
-                tnr: opt_num("tnr")?,
+                count: f.u64("count")?,
+                tpr: f.opt_num("tpr")?,
+                tnr: f.opt_num("tnr")?,
             },
             names::EV_PRUNE => EventKind::Prune {
-                dropped: num("dropped")? as u64,
-                passes: num("passes")? as u64,
+                dropped: f.u64("dropped")?,
+                passes: f.u64("passes")?,
             },
             names::EV_PRETRAIN_STEP => EventKind::PretrainStep {
-                step: num("step")? as u64,
-                mlm_loss: num("mlm_loss")?,
+                step: f.u64("step")?,
+                mlm_loss: f.num("mlm_loss")?,
             },
             names::EV_BLOCK => EventKind::Block {
-                candidates: num("candidates")? as u64,
+                candidates: f.u64("candidates")?,
             },
             names::EV_NON_FINITE => EventKind::NonFinite {
-                op: text("op")?,
-                node: num("node")? as u64,
-                stage: text("stage")?,
-                bad: num("bad")? as u64,
-                total: num("total")? as u64,
+                op: f.str("op")?,
+                node: f.u64("node")?,
+                stage: f.str("stage")?,
+                bad: f.u64("bad")?,
+                total: f.u64("total")?,
             },
             names::EV_AUDIT => EventKind::Audit {
-                nodes: num("nodes")? as u64,
-                dead: num("dead")? as u64,
-                detached: num("detached")? as u64,
-                unused: num("unused")? as u64,
+                nodes: f.u64("nodes")?,
+                dead: f.u64("dead")?,
+                detached: f.u64("detached")?,
+                unused: f.u64("unused")?,
             },
             names::EV_MESSAGE => EventKind::Message {
-                level: Level::from_name(&text("level")?)
+                level: Level::from_name(&f.str("level")?)
                     .ok_or_else(|| format!("bad level in {line}"))?,
-                text: text("text")?,
+                text: f.str("text")?,
             },
             names::EV_UNC_HIST => EventKind::UncHist {
-                source: text("source")?,
-                lo: num("lo")?,
-                hi: num("hi")?,
-                mean: num("mean")?,
-                counts: u64_array("counts")?,
+                source: f.str("source")?,
+                lo: f.num("lo")?,
+                hi: f.num("hi")?,
+                mean: f.num("mean")?,
+                counts: f.nums("counts")?.iter().map(|&v| v as u64).collect(),
             },
             names::EV_METRIC => EventKind::Metric {
-                name: text("name")?,
-                kind: text("kind")?,
-                value: num("value")?,
-                count: opt_num("count")?.map(|v| v as u64),
-                p50: opt_num("p50")?,
-                p95: opt_num("p95")?,
-                p99: opt_num("p99")?,
+                name: f.str("name")?,
+                kind: f.str("kind")?,
+                value: f.num("value")?,
+                count: f.opt_u64("count")?,
+                p50: f.opt_num("p50")?,
+                p95: f.opt_num("p95")?,
+                p99: f.opt_num("p99")?,
             },
             names::EV_CKPT_SAVE => EventKind::CkptSave {
-                step: num("step")? as u64,
-                bytes: num("bytes")? as u64,
-                kept: num("kept")? as u64,
+                step: f.u64("step")?,
+                bytes: f.u64("bytes")?,
+                kept: f.u64("kept")?,
             },
             names::EV_CKPT_RESTORE => EventKind::CkptRestore {
-                step: num("step")? as u64,
-                pretrain_steps: num("pretrain_steps")? as u64,
-                epochs: num("epochs")? as u64,
-                batches: num("batches")? as u64,
+                step: f.u64("step")?,
+                pretrain_steps: f.u64("pretrain_steps")?,
+                epochs: f.u64("epochs")?,
+                batches: f.u64("batches")?,
             },
             names::EV_RECOVERED_BATCH => EventKind::RecoveredBatch {
-                phase: text("phase")?,
-                step: num("step")? as u64,
-                consecutive: num("consecutive")? as u64,
+                phase: f.str("phase")?,
+                step: f.u64("step")?,
+                consecutive: f.u64("consecutive")?,
             },
             names::EV_IO_RETRY => EventKind::IoRetry {
-                op: text("op")?,
-                attempt: num("attempt")? as u64,
-                delay_ms: num("delay_ms")? as u64,
-                gave_up: boolean("gave_up")?,
+                op: f.str("op")?,
+                attempt: f.u64("attempt")?,
+                delay_ms: f.u64("delay_ms")?,
+                gave_up: f.bool("gave_up")?,
             },
             names::EV_OP_STATS => EventKind::OpStats {
-                op: text("op")?,
-                fwd_calls: num("fwd_calls")? as u64,
-                fwd_us: num("fwd_us")? as u64,
-                bwd_calls: num("bwd_calls")? as u64,
-                bwd_us: num("bwd_us")? as u64,
-                elems: num("elems")? as u64,
-                bytes: num("bytes")? as u64,
+                op: f.str("op")?,
+                fwd_calls: f.u64("fwd_calls")?,
+                fwd_us: f.u64("fwd_us")?,
+                bwd_calls: f.u64("bwd_calls")?,
+                bwd_us: f.u64("bwd_us")?,
+                elems: f.u64("elems")?,
+                bytes: f.u64("bytes")?,
             },
             names::EV_PROGRESS => EventKind::Progress {
-                phase: text("phase")?,
-                done: num("done")? as u64,
-                total: num("total")? as u64,
-                examples: num("examples")? as u64,
-                ex_per_sec: num("ex_per_sec")?,
-                loss: opt_num("loss")?,
-                eta_us: opt_num("eta_us")?.map(|v| v as u64),
-                tape_nodes: num("tape_nodes")? as u64,
-                heap_peak: num("heap_peak")? as u64,
+                phase: f.str("phase")?,
+                done: f.u64("done")?,
+                total: f.u64("total")?,
+                examples: f.u64("examples")?,
+                ex_per_sec: f.num("ex_per_sec")?,
+                loss: f.opt_num("loss")?,
+                eta_us: f.opt_u64("eta_us")?,
+                tape_nodes: f.u64("tape_nodes")?,
+                heap_peak: f.u64("heap_peak")?,
             },
             names::EV_RUN_META => EventKind::RunMeta {
-                seed: num("run_seed")? as u64,
-                config: text("config")?,
-                git_sha: opt_text("git_sha")?,
-                build: text("build")?,
-                schema: num("schema")? as u64,
+                seed: f.u64("run_seed")?,
+                config: f.str("config")?,
+                git_sha: f.opt_str("git_sha")?,
+                build: f.str("build")?,
+                schema: f.u64("schema")?,
             },
             names::EV_REQUEST => EventKind::Request {
-                id: text("id")?,
-                pairs: num("pairs")? as u64,
-                queue: num("queue")? as u64,
-                wall_us: num("wall_us")? as u64,
-                outcome: text("outcome")?,
+                id: f.str("id")?,
+                pairs: f.u64("pairs")?,
+                queue: f.u64("queue")?,
+                wall_us: f.u64("wall_us")?,
+                outcome: f.str("outcome")?,
             },
             names::EV_REJECT => EventKind::Reject {
-                id: text("id")?,
-                reason: text("reason")?,
-                retry_after_ms: num("retry_after_ms")? as u64,
+                id: f.str("id")?,
+                reason: f.str("reason")?,
+                retry_after_ms: f.u64("retry_after_ms")?,
             },
             names::EV_WORKER_RESTART => EventKind::WorkerRestart {
-                worker: num("worker")? as u64,
-                restarts: num("restarts")? as u64,
-                backoff_ms: num("backoff_ms")? as u64,
-                reason: text("reason")?,
+                worker: f.u64("worker")?,
+                restarts: f.u64("restarts")?,
+                backoff_ms: f.u64("backoff_ms")?,
+                reason: f.str("reason")?,
             },
             names::EV_DRAIN => EventKind::Drain {
-                completed: num("completed")? as u64,
-                rejected: num("rejected")? as u64,
-                failed: num("failed")? as u64,
-                restarts: num("restarts")? as u64,
+                completed: f.u64("completed")?,
+                rejected: f.u64("rejected")?,
+                failed: f.u64("failed")?,
+                restarts: f.u64("restarts")?,
             },
             other => return Err(format!("unknown event type '{other}'")),
         };
         Ok(Event {
-            seq: num("seq")? as u64,
-            seed: num("seed")? as u64,
-            t_us: num("t_us")? as u64,
-            span: opt_num("span")?.map(|v| v as u64),
+            seq: f.u64("seq")?,
+            seed: f.u64("seed")?,
+            t_us: f.u64("t_us")?,
+            span: f.opt_u64("span")?,
             kind,
         })
     }
@@ -1210,174 +1102,13 @@ impl Event {
     }
 }
 
-/// A parsed JSON value (the schema is flat: scalars, plus arrays of
-/// numbers for histogram bins — objects never nest). Public so sibling
-/// flat-JSON line formats (`em-prof`'s bench history) can reuse the
-/// parser instead of growing their own.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    /// A number (integers included; the schema stays under 2^53).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
-    /// An array of numbers (histogram bucket counts).
-    Arr(Vec<f64>),
-}
-
-/// Parse a flat JSON object (string/number/bool/null/number-array values)
-/// into its key/value pairs in document order.
-pub fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    parse_json_object(s)
-}
-
-fn parse_json_object(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let mut chars = s.trim().chars().peekable();
-    let mut out = Vec::new();
-    if chars.next() != Some('{') {
-        return Err(format!("expected '{{' in {s}"));
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some(',') => {
-                chars.next();
-            }
-            Some(_) => {}
-            None => return Err(format!("unterminated object in {s}")),
-        }
-        skip_ws(&mut chars);
-        if chars.peek() == Some(&'}') {
-            chars.next();
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key '{key}' in {s}"));
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek() {
-            Some('"') => JsonVal::Str(parse_string(&mut chars)?),
-            Some('t') => {
-                expect_word(&mut chars, "true")?;
-                JsonVal::Bool(true)
-            }
-            Some('f') => {
-                expect_word(&mut chars, "false")?;
-                JsonVal::Bool(false)
-            }
-            Some('n') => {
-                expect_word(&mut chars, "null")?;
-                JsonVal::Null
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                JsonVal::Num(parse_number(&mut chars, s)?)
-            }
-            Some('[') => {
-                chars.next();
-                let mut vals = Vec::new();
-                loop {
-                    skip_ws(&mut chars);
-                    match chars.peek() {
-                        Some(']') => {
-                            chars.next();
-                            break;
-                        }
-                        Some(',') => {
-                            chars.next();
-                        }
-                        Some(c) if c.is_ascii_digit() || *c == '-' => {
-                            vals.push(parse_number(&mut chars, s)?);
-                        }
-                        other => return Err(format!("unexpected array element {other:?} in {s}")),
-                    }
-                }
-                JsonVal::Arr(vals)
-            }
-            other => return Err(format!("unexpected value start {other:?} in {s}")),
-        };
-        out.push((key, val));
-        skip_ws(&mut chars);
-    }
-    Ok(out)
-}
-
-fn parse_number(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    context: &str,
-) -> Result<f64, String> {
-    let mut num = String::new();
-    while let Some(&c) = chars.peek() {
-        if c.is_ascii_digit() || "+-.eE".contains(c) {
-            num.push(c);
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    num.parse()
-        .map_err(|_| format!("bad number '{num}' in {context}"))
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect_word(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    word: &str,
-) -> Result<(), String> {
-    for expected in word.chars() {
-        if chars.next() != Some(expected) {
-            return Err(format!("expected literal '{word}'"));
-        }
-    }
-    Ok(())
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code =
-                        u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u{hex}"))?;
-                    out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".into()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(kind: EventKind) {
+    /// `line` is the encoding pinned byte for byte: a writer change that
+    /// moves one byte of a trace fails here.
+    fn round_trip(kind: EventKind, line: &str) {
         let e = Event {
             seq: 17,
             seed: 42,
@@ -1385,215 +1116,308 @@ mod tests {
             span: Some(3),
             kind,
         };
-        let line = e.to_json();
-        let parsed = Event::parse(&line).unwrap_or_else(|err| panic!("{err}\nline: {line}"));
+        assert_eq!(e.to_json(), line);
+        let parsed = Event::parse(line).unwrap_or_else(|err| panic!("{err}\nline: {line}"));
         assert_eq!(parsed, e, "round trip changed the event; line: {line}");
     }
 
     #[test]
     fn every_kind_round_trips() {
-        round_trip(EventKind::SpanOpen {
-            id: 9,
-            parent: Some(2),
-            name: "teacher".into(),
-            detail: Some("PromptEM/REL-HETER \"quoted\"\n".into()),
-        });
-        round_trip(EventKind::SpanOpen {
-            id: 1,
-            parent: None,
-            name: "pretrain".into(),
-            detail: None,
-        });
-        round_trip(EventKind::SpanClose {
-            id: 9,
-            name: "teacher".into(),
-            wall_us: 88_123,
-            heap_delta: -4096,
-            heap_peak: 1 << 30,
-        });
-        round_trip(EventKind::EpochSummary {
-            epoch: 7,
-            train_loss: 0.6931471824645996,
-            valid_f1: Some(81.25),
-            threshold: Some(0.4375),
-            examples: 128,
-            batches: 8,
-            wall_us: 2_500_000,
-        });
-        round_trip(EventKind::EpochSummary {
-            epoch: 0,
-            train_loss: 1.5,
-            valid_f1: None,
-            threshold: None,
-            examples: 0,
-            batches: 0,
-            wall_us: 0,
-        });
-        round_trip(EventKind::PseudoSelect {
-            count: 6,
-            tpr: Some(1.0),
-            tnr: Some(0.875),
-        });
-        round_trip(EventKind::PseudoSelect {
-            count: 0,
-            tpr: None,
-            tnr: None,
-        });
-        round_trip(EventKind::Prune {
-            dropped: 12,
-            passes: 10,
-        });
-        round_trip(EventKind::PretrainStep {
-            step: 4999,
-            mlm_loss: 2.25,
-        });
-        round_trip(EventKind::Block { candidates: 480 });
-        round_trip(EventKind::NonFinite {
-            op: "layer_norm".into(),
-            node: 37,
-            stage: "grad".into(),
-            bad: 3,
-            total: 96,
-        });
-        round_trip(EventKind::Audit {
-            nodes: 512,
-            dead: 2,
-            detached: 1,
-            unused: 0,
-        });
-        round_trip(EventKind::Message {
-            level: Level::Warn,
-            text: "tab\there \\ \"q\"".into(),
-        });
-        round_trip(EventKind::UncHist {
-            source: "pseudo_uncertainty".into(),
-            lo: 0.0,
-            hi: 0.25,
-            mean: 0.0625,
-            counts: vec![4, 0, 9, 1],
-        });
-        round_trip(EventKind::UncHist {
-            source: "mc_el2n".into(),
-            lo: 0.0,
-            hi: 0.0,
-            mean: 0.0,
-            counts: vec![],
-        });
-        round_trip(EventKind::Metric {
-            name: "nn_optimizer_steps{opt=\"adamw\"}".into(),
-            kind: "counter".into(),
-            value: 412.0,
-            count: None,
-            p50: None,
-            p95: None,
-            p99: None,
-        });
-        round_trip(EventKind::Metric {
-            name: "nn_tape_backward_secs".into(),
-            kind: "histogram".into(),
-            value: 0.125,
-            count: Some(37),
-            p50: Some(0.09375),
-            p95: Some(0.375),
-            p99: Some(0.75),
-        });
-        round_trip(EventKind::CkptSave {
-            step: 250,
-            bytes: 1_048_576,
-            kept: 3,
-        });
-        round_trip(EventKind::CkptRestore {
-            step: 250,
-            pretrain_steps: 250,
-            epochs: 12,
-            batches: 96,
-        });
-        round_trip(EventKind::RecoveredBatch {
-            phase: "pretrain".into(),
-            step: 117,
-            consecutive: 2,
-        });
-        round_trip(EventKind::IoRetry {
-            op: "ckpt_write".into(),
-            attempt: 1,
-            delay_ms: 25,
-            gave_up: false,
-        });
-        round_trip(EventKind::IoRetry {
-            op: "ckpt_write".into(),
-            attempt: 3,
-            delay_ms: 0,
-            gave_up: true,
-        });
-        round_trip(EventKind::OpStats {
-            op: "matmul".into(),
-            fwd_calls: 1200,
-            fwd_us: 845_000,
-            bwd_calls: 600,
-            bwd_us: 512_000,
-            elems: 9_830_400,
-            bytes: 39_321_600,
-        });
-        round_trip(EventKind::Progress {
-            phase: "pretrain".into(),
-            done: 35,
-            total: 40,
-            examples: 560,
-            ex_per_sec: 212.5,
-            loss: Some(2.0625),
-            eta_us: Some(420_000),
-            tape_nodes: 91_000,
-            heap_peak: 30_000_000,
-        });
-        round_trip(EventKind::Progress {
-            phase: "mc_dropout".into(),
-            done: 3,
-            total: 0,
-            examples: 0,
-            ex_per_sec: 0.0,
-            loss: None,
-            eta_us: None,
-            tape_nodes: 0,
-            heap_peak: 0,
-        });
-        round_trip(EventKind::RunMeta {
-            seed: 7,
-            config: "9e1c7a5d00bf3321".into(),
-            git_sha: Some("272a3fc0".into()),
-            build: "release".into(),
-            schema: 1,
-        });
-        round_trip(EventKind::RunMeta {
-            seed: 0,
-            config: "0".into(),
-            git_sha: None,
-            build: "debug".into(),
-            schema: 1,
-        });
-        round_trip(EventKind::Request {
-            id: "conn3-17".into(),
-            pairs: 8,
-            queue: 2,
-            wall_us: 4_250,
-            outcome: "ok".into(),
-        });
-        round_trip(EventKind::Reject {
-            id: "conn1-4".into(),
-            reason: "queue_full".into(),
-            retry_after_ms: 25,
-        });
-        round_trip(EventKind::WorkerRestart {
-            worker: 0,
-            restarts: 2,
-            backoff_ms: 10,
-            reason: "panic".into(),
-        });
-        round_trip(EventKind::Drain {
-            completed: 96,
-            rejected: 7,
-            failed: 1,
-            restarts: 2,
-        });
+        round_trip(
+            EventKind::SpanOpen {
+                id: 9,
+                parent: Some(2),
+                name: "teacher".into(),
+                detail: Some("PromptEM/REL-HETER \"quoted\"\n".into()),
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"span_open","id":9,"parent":2,"name":"teacher","detail":"PromptEM/REL-HETER \"quoted\"\n"}"#,
+        );
+        round_trip(
+            EventKind::SpanOpen {
+                id: 1,
+                parent: None,
+                name: "pretrain".into(),
+                detail: None,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"span_open","id":1,"parent":null,"name":"pretrain","detail":null}"#,
+        );
+        round_trip(
+            EventKind::SpanClose {
+                id: 9,
+                name: "teacher".into(),
+                wall_us: 88_123,
+                heap_delta: -4096,
+                heap_peak: 1 << 30,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"span_close","id":9,"name":"teacher","wall_us":88123,"heap_delta":-4096,"heap_peak":1073741824}"#,
+        );
+        round_trip(
+            EventKind::EpochSummary {
+                epoch: 7,
+                train_loss: 0.6931471824645996,
+                valid_f1: Some(81.25),
+                threshold: Some(0.4375),
+                examples: 128,
+                batches: 8,
+                wall_us: 2_500_000,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"epoch_summary","epoch":7,"train_loss":0.6931471824645996,"valid_f1":81.25,"threshold":0.4375,"examples":128,"batches":8,"wall_us":2500000}"#,
+        );
+        round_trip(
+            EventKind::EpochSummary {
+                epoch: 0,
+                train_loss: 1.5,
+                valid_f1: None,
+                threshold: None,
+                examples: 0,
+                batches: 0,
+                wall_us: 0,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"epoch_summary","epoch":0,"train_loss":1.5,"valid_f1":null,"threshold":null,"examples":0,"batches":0,"wall_us":0}"#,
+        );
+        round_trip(
+            EventKind::PseudoSelect {
+                count: 6,
+                tpr: Some(1.0),
+                tnr: Some(0.875),
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"pseudo_select","count":6,"tpr":1,"tnr":0.875}"#,
+        );
+        round_trip(
+            EventKind::PseudoSelect {
+                count: 0,
+                tpr: None,
+                tnr: None,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"pseudo_select","count":0,"tpr":null,"tnr":null}"#,
+        );
+        round_trip(
+            EventKind::Prune {
+                dropped: 12,
+                passes: 10,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"prune","dropped":12,"passes":10}"#,
+        );
+        round_trip(
+            EventKind::PretrainStep {
+                step: 4999,
+                mlm_loss: 2.25,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"pretrain_step","step":4999,"mlm_loss":2.25}"#,
+        );
+        round_trip(
+            EventKind::Block { candidates: 480 },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"block","candidates":480}"#,
+        );
+        round_trip(
+            EventKind::NonFinite {
+                op: "layer_norm".into(),
+                node: 37,
+                stage: "grad".into(),
+                bad: 3,
+                total: 96,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"non_finite","op":"layer_norm","node":37,"stage":"grad","bad":3,"total":96}"#,
+        );
+        round_trip(
+            EventKind::Audit {
+                nodes: 512,
+                dead: 2,
+                detached: 1,
+                unused: 0,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"audit","nodes":512,"dead":2,"detached":1,"unused":0}"#,
+        );
+        round_trip(
+            EventKind::Message {
+                level: Level::Warn,
+                text: "tab\there \\ \"q\"".into(),
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"message","level":"warn","text":"tab\there \\ \"q\""}"#,
+        );
+        round_trip(
+            EventKind::UncHist {
+                source: "pseudo_uncertainty".into(),
+                lo: 0.0,
+                hi: 0.25,
+                mean: 0.0625,
+                counts: vec![4, 0, 9, 1],
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"unc_hist","source":"pseudo_uncertainty","lo":0,"hi":0.25,"mean":0.0625,"counts":[4,0,9,1]}"#,
+        );
+        round_trip(
+            EventKind::UncHist {
+                source: "mc_el2n".into(),
+                lo: 0.0,
+                hi: 0.0,
+                mean: 0.0,
+                counts: vec![],
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"unc_hist","source":"mc_el2n","lo":0,"hi":0,"mean":0,"counts":[]}"#,
+        );
+        round_trip(
+            EventKind::Metric {
+                name: "nn_optimizer_steps{opt=\"adamw\"}".into(),
+                kind: "counter".into(),
+                value: 412.0,
+                count: None,
+                p50: None,
+                p95: None,
+                p99: None,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"metric","name":"nn_optimizer_steps{opt=\"adamw\"}","kind":"counter","value":412,"count":null,"p50":null,"p95":null,"p99":null}"#,
+        );
+        round_trip(
+            EventKind::Metric {
+                name: "nn_tape_backward_secs".into(),
+                kind: "histogram".into(),
+                value: 0.125,
+                count: Some(37),
+                p50: Some(0.09375),
+                p95: Some(0.375),
+                p99: Some(0.75),
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"metric","name":"nn_tape_backward_secs","kind":"histogram","value":0.125,"count":37,"p50":0.09375,"p95":0.375,"p99":0.75}"#,
+        );
+        round_trip(
+            EventKind::CkptSave {
+                step: 250,
+                bytes: 1_048_576,
+                kept: 3,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"ckpt_save","step":250,"bytes":1048576,"kept":3}"#,
+        );
+        round_trip(
+            EventKind::CkptRestore {
+                step: 250,
+                pretrain_steps: 250,
+                epochs: 12,
+                batches: 96,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"ckpt_restore","step":250,"pretrain_steps":250,"epochs":12,"batches":96}"#,
+        );
+        round_trip(
+            EventKind::RecoveredBatch {
+                phase: "pretrain".into(),
+                step: 117,
+                consecutive: 2,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"recovered_batch","phase":"pretrain","step":117,"consecutive":2}"#,
+        );
+        round_trip(
+            EventKind::IoRetry {
+                op: "ckpt_write".into(),
+                attempt: 1,
+                delay_ms: 25,
+                gave_up: false,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"io_retry","op":"ckpt_write","attempt":1,"delay_ms":25,"gave_up":false}"#,
+        );
+        round_trip(
+            EventKind::IoRetry {
+                op: "ckpt_write".into(),
+                attempt: 3,
+                delay_ms: 0,
+                gave_up: true,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"io_retry","op":"ckpt_write","attempt":3,"delay_ms":0,"gave_up":true}"#,
+        );
+        round_trip(
+            EventKind::OpStats {
+                op: "matmul".into(),
+                fwd_calls: 1200,
+                fwd_us: 845_000,
+                bwd_calls: 600,
+                bwd_us: 512_000,
+                elems: 9_830_400,
+                bytes: 39_321_600,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"op_stats","op":"matmul","fwd_calls":1200,"fwd_us":845000,"bwd_calls":600,"bwd_us":512000,"elems":9830400,"bytes":39321600}"#,
+        );
+        round_trip(
+            EventKind::Progress {
+                phase: "pretrain".into(),
+                done: 35,
+                total: 40,
+                examples: 560,
+                ex_per_sec: 212.5,
+                loss: Some(2.0625),
+                eta_us: Some(420_000),
+                tape_nodes: 91_000,
+                heap_peak: 30_000_000,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"progress","phase":"pretrain","done":35,"total":40,"examples":560,"ex_per_sec":212.5,"loss":2.0625,"eta_us":420000,"tape_nodes":91000,"heap_peak":30000000}"#,
+        );
+        round_trip(
+            EventKind::Progress {
+                phase: "mc_dropout".into(),
+                done: 3,
+                total: 0,
+                examples: 0,
+                ex_per_sec: 0.0,
+                loss: None,
+                eta_us: None,
+                tape_nodes: 0,
+                heap_peak: 0,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"progress","phase":"mc_dropout","done":3,"total":0,"examples":0,"ex_per_sec":0,"loss":null,"eta_us":null,"tape_nodes":0,"heap_peak":0}"#,
+        );
+        round_trip(
+            EventKind::RunMeta {
+                seed: 7,
+                config: "9e1c7a5d00bf3321".into(),
+                git_sha: Some("272a3fc0".into()),
+                build: "release".into(),
+                schema: 1,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"run_meta","run_seed":7,"config":"9e1c7a5d00bf3321","git_sha":"272a3fc0","build":"release","schema":1}"#,
+        );
+        round_trip(
+            EventKind::RunMeta {
+                seed: 0,
+                config: "0".into(),
+                git_sha: None,
+                build: "debug".into(),
+                schema: 1,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"run_meta","run_seed":0,"config":"0","git_sha":null,"build":"debug","schema":1}"#,
+        );
+        round_trip(
+            EventKind::Request {
+                id: "conn3-17".into(),
+                pairs: 8,
+                queue: 2,
+                wall_us: 4_250,
+                outcome: "ok".into(),
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"request","id":"conn3-17","pairs":8,"queue":2,"wall_us":4250,"outcome":"ok"}"#,
+        );
+        round_trip(
+            EventKind::Reject {
+                id: "conn1-4".into(),
+                reason: "queue_full".into(),
+                retry_after_ms: 25,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"reject","id":"conn1-4","reason":"queue_full","retry_after_ms":25}"#,
+        );
+        round_trip(
+            EventKind::WorkerRestart {
+                worker: 0,
+                restarts: 2,
+                backoff_ms: 10,
+                reason: "panic".into(),
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"worker_restart","worker":0,"restarts":2,"backoff_ms":10,"reason":"panic"}"#,
+        );
+        round_trip(
+            EventKind::Drain {
+                completed: 96,
+                rejected: 7,
+                failed: 1,
+                restarts: 2,
+            },
+            r#"{"seq":17,"seed":42,"t_us":123456,"span":3,"type":"drain","completed":96,"rejected":7,"failed":1,"restarts":2}"#,
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * **Sinks** — events go nowhere by default (the disabled path costs a
 //!   couple of relaxed atomic loads), to stderr filtered by the
 //!   `PROMPTEM_LOG` level, and/or to a JSONL trace file with the schema
-//!   documented in [`event`]. Tests use [`capture`] to collect events
-//!   in-memory per thread.
+//!   documented in [`event`], written by the workspace's one flat-JSON
+//!   codec, [`json`]. Tests use [`capture`] to collect events in-memory
+//!   per thread.
 //!
 //! Typical wiring (the CLI and bench harness do this):
 //!
@@ -31,6 +32,7 @@
 pub mod alloc;
 pub mod event;
 pub mod heartbeat;
+pub mod json;
 pub mod level;
 pub mod metrics;
 pub mod names;

@@ -309,7 +309,7 @@ pub fn histogram(name: &str, labels: &[(&str, &str)]) -> Histogram {
 /// One registered metric, sampled: the payload of a `metric` trace event.
 pub struct MetricSample {
     /// Metric name with the sorted label set folded in
-    /// (`name{k="v",...}`), matching [`render_text`] line prefixes.
+    /// (`name{k="v",...}`).
     pub name: String,
     /// `"counter"`, `"gauge"`, or `"histogram"`.
     pub kind: &'static str,
@@ -374,32 +374,6 @@ pub fn samples() -> Vec<MetricSample> {
         .collect();
     out.sort_by(|a, b| a.name.cmp(&b.name));
     out
-}
-
-/// Render every registered metric as sorted human-readable lines (for a
-/// shutdown dump or debugging).
-pub fn render_text() -> String {
-    let lines: Vec<String> = samples()
-        .iter()
-        .map(|s| {
-            let value = match s.kind {
-                "histogram" => {
-                    let (p50, p95, p99) = s.percentiles.unwrap_or((0.0, 0.0, 0.0));
-                    format!(
-                        "count {} mean {:.6} p50 {:.6} p95 {:.6} p99 {:.6}",
-                        s.count.unwrap_or(0),
-                        s.value,
-                        p50,
-                        p95,
-                        p99
-                    )
-                }
-                _ => s.value.to_string(),
-            };
-            format!("{} {}", s.name, value)
-        })
-        .collect();
-    lines.join("\n")
 }
 
 /// Drop every registered metric (test isolation).
@@ -543,12 +517,5 @@ mod tests {
         assert_eq!(hs.kind, "histogram");
         assert!(hs.count.unwrap_or(0) >= 1);
         assert!(hs.percentiles.is_some());
-    }
-
-    #[test]
-    fn render_text_mentions_registered_metrics() {
-        counter("test_render_counter", &[("k", "v")]).add(7);
-        let text = render_text();
-        assert!(text.contains("test_render_counter{k=\"v\"} 7"), "{text}");
     }
 }

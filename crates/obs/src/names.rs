@@ -1,4 +1,5 @@
-//! The registry of JSONL event type tags and span names.
+//! The registry of JSONL event type tags, span names, the metric names
+//! `em-prof` reads, and tape op names.
 //!
 //! Every `"type"` tag written into a trace and every span name opened by
 //! the workspace lives here as a `const`, so the schema is greppable in one
@@ -159,6 +160,13 @@ pub const ALL_SPAN_NAMES: [&str; 21] = [
     SPAN_SERVE,
     SPAN_SERVE_BATCH,
 ];
+
+/// `core_test_f1` — the pipeline's test F1 gauge (labelled
+/// `{dataset="..."}`); `em-prof` reads a run's test F1 from it.
+pub const METRIC_TEST_F1: &str = "core_test_f1";
+/// `serve_request_secs` — the histogram em-serve feeds once per answered
+/// request; `em-prof` reads serving latency percentiles from it.
+pub const METRIC_SERVE_REQUEST_SECS: &str = "serve_request_secs";
 
 /// Every autodiff tape op name, in tape recording order. The index of an
 /// op in this array is its slot in the op-profiler's accumulation table

@@ -1,145 +1,17 @@
 //! Canonical trace form: the determinism contract of a run, with the
-//! timing stripped out.
-//!
-//! Two runs of the same seed and config must produce the *same decisions*
-//! — spans opened in the same order, the same optimizer steps, the same
-//! pseudo-label selections, the same metrics counts — even though wall
-//! times, throughputs, and heap peaks differ on every run. The `--threads`
-//! bit-exactness gate needs exactly that split: a 4-thread scoring run is
-//! required to be byte-identical to the 1-thread run *after* zeroing the
-//! fields that merely measure time and memory.
-//!
-//! Canonicalization maps each typed [`Event`] to a copy with volatile
-//! fields zeroed, re-encodes it with the standard writer, and compares the
-//! resulting line sequences. Zeroed rather than removed, so canonical lines
-//! still parse with [`Event::parse`] and line numbers match the original
-//! trace one-to-one.
-//!
-//! What is volatile (zeroed) vs semantic (kept):
-//!
-//! | event | zeroed | kept |
-//! |---|---|---|
-//! | envelope | `t_us` | `seq`, `seed`, `span` |
-//! | `span_close` | `wall_us`, `heap_delta`, `heap_peak` | `id`, `name` |
-//! | `epoch_summary` | `wall_us` | loss, F1, threshold, counts |
-//! | `op_stats` | `fwd_us`, `bwd_us`, `bytes` | op, call counts, `elems` |
-//! | `progress` | `ex_per_sec`, `eta_us`, `heap_peak` | phase, ticks, examples, `tape_nodes` |
-//! | `metric` (histogram) | `value`, `count`, percentiles | name, kind |
-//! | `ckpt_save` | `bytes` | `step`, `kept` |
-//! | everything else | — | all fields |
-//!
-//! `op_stats` call counts and `elems` are global sums over a swap-drain
-//! table, so they are invariant under worker interleaving; their wall
-//! times and allocator bytes are not. Histogram metrics are timing
-//! distributions, so only their identity survives. `progress.tape_nodes`
-//! is deliberately kept: scoring is tape-free on every thread count, so a
-//! divergence there means a recording tape leaked into an inference path.
+//! timing stripped out. Two runs of the same seed and config must make the
+//! same decisions (spans, optimizer steps, pseudo-label selections, metric
+//! counts) though wall times, throughputs and heap peaks differ on every
+//! run; the `--threads` bit-exactness gate compares exactly that. Each
+//! event is re-encoded with [`Event::to_canonical_json`], which zeroes
+//! the fields the writer marks as measurements (table in
+//! [`em_obs::json`]), and the line sequences are compared.
 
-use em_obs::{Event, EventKind};
-
-/// The canonical (volatile-fields-zeroed) copy of one event.
-pub fn canonical_event(e: &Event) -> Event {
-    let kind = match e.kind.clone() {
-        EventKind::SpanClose { id, name, .. } => EventKind::SpanClose {
-            id,
-            name,
-            wall_us: 0,
-            heap_delta: 0,
-            heap_peak: 0,
-        },
-        EventKind::EpochSummary {
-            epoch,
-            train_loss,
-            valid_f1,
-            threshold,
-            examples,
-            batches,
-            ..
-        } => EventKind::EpochSummary {
-            epoch,
-            train_loss,
-            valid_f1,
-            threshold,
-            examples,
-            batches,
-            wall_us: 0,
-        },
-        EventKind::OpStats {
-            op,
-            fwd_calls,
-            bwd_calls,
-            elems,
-            ..
-        } => EventKind::OpStats {
-            op,
-            fwd_calls,
-            fwd_us: 0,
-            bwd_calls,
-            bwd_us: 0,
-            elems,
-            bytes: 0,
-        },
-        EventKind::Progress {
-            phase,
-            done,
-            total,
-            examples,
-            loss,
-            tape_nodes,
-            ..
-        } => EventKind::Progress {
-            phase,
-            done,
-            total,
-            examples,
-            ex_per_sec: 0.0,
-            loss,
-            eta_us: None,
-            tape_nodes,
-            heap_peak: 0,
-        },
-        EventKind::Metric {
-            name, kind, value, ..
-        } if kind != "histogram" => EventKind::Metric {
-            name,
-            kind,
-            value,
-            count: None,
-            p50: None,
-            p95: None,
-            p99: None,
-        },
-        EventKind::Metric { name, kind, .. } => EventKind::Metric {
-            name,
-            kind,
-            value: 0.0,
-            count: None,
-            p50: None,
-            p95: None,
-            p99: None,
-        },
-        EventKind::CkptSave { step, kept, .. } => EventKind::CkptSave {
-            step,
-            bytes: 0,
-            kept,
-        },
-        other => other,
-    };
-    Event {
-        seq: e.seq,
-        seed: e.seed,
-        t_us: 0,
-        span: e.span,
-        kind,
-    }
-}
+use em_obs::Event;
 
 /// The canonical JSONL lines of a trace, one per event, in trace order.
 pub fn canonical_lines(events: &[Event]) -> Vec<String> {
-    events
-        .iter()
-        .map(|e| canonical_event(e).to_json())
-        .collect()
+    events.iter().map(Event::to_canonical_json).collect()
 }
 
 /// The first place two canonicalized traces disagree.
@@ -198,6 +70,7 @@ pub fn first_divergence(left: &[Event], right: &[Event]) -> Option<Divergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_obs::EventKind;
 
     fn ev(seq: u64, t_us: u64, kind: EventKind) -> Event {
         Event {

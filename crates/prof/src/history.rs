@@ -17,7 +17,7 @@
 
 use crate::diff::{self, DiffReport, Thresholds};
 use crate::manifest::RunManifest;
-use em_obs::event::{parse_flat_object, JsonVal};
+use em_obs::json::{FlatObject, ObjectWriter};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -91,111 +91,54 @@ pub fn distill(m: &RunManifest) -> HistoryEntry {
     }
 }
 
-fn push_str_field(out: &mut String, key: &str, v: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl HistoryEntry {
     /// Encode as one flat JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(s, "{{\"schema\":\"{HISTORY_SCHEMA}\"");
-        let _ = write!(s, ",\"seed\":{}", self.seed);
-        push_str_field(&mut s, "config", &self.config);
-        match &self.git_sha {
-            Some(sha) => push_str_field(&mut s, "git_sha", sha),
-            None => s.push_str(",\"git_sha\":null"),
-        }
-        push_str_field(&mut s, "build", &self.build);
-        let _ = write!(s, ",\"events\":{}", self.events);
-        let _ = write!(s, ",\"total_wall_us\":{}", self.total_wall_us);
-        let _ = write!(s, ",\"peak_heap\":{}", self.peak_heap);
-        let _ = write!(s, ",\"optimizer_steps\":{}", self.optimizer_steps);
-        let _ = write!(s, ",\"epochs\":{}", self.epochs);
-        for (key, v) in [
-            ("best_valid_f1", self.best_valid_f1),
-            ("test_f1", self.test_f1),
-        ] {
-            match v {
-                Some(v) => {
-                    let _ = write!(s, ",\"{key}\":{v}");
-                }
-                None => {
-                    let _ = write!(s, ",\"{key}\":null");
-                }
-            }
-        }
-        let _ = write!(s, ",\"pseudo_selected\":{}", self.pseudo_selected);
-        let _ = write!(s, ",\"non_finite_events\":{}", self.non_finite_events);
-        let _ = write!(s, ",\"unclosed_spans\":{}", self.unclosed_spans);
-        let _ = write!(s, ",\"orphan_spans\":{}", self.orphan_spans);
-        s.push('}');
-        s
+        let mut w = ObjectWriter::new(false);
+        w.field("schema", HISTORY_SCHEMA)
+            .field("seed", &self.seed)
+            .field("config", &self.config)
+            .field("git_sha", &self.git_sha)
+            .field("build", &self.build)
+            .field("events", &self.events)
+            .field("total_wall_us", &self.total_wall_us)
+            .field("peak_heap", &self.peak_heap)
+            .field("optimizer_steps", &self.optimizer_steps)
+            .field("epochs", &self.epochs)
+            .field("best_valid_f1", &self.best_valid_f1)
+            .field("test_f1", &self.test_f1)
+            .field("pseudo_selected", &self.pseudo_selected)
+            .field("non_finite_events", &self.non_finite_events)
+            .field("unclosed_spans", &self.unclosed_spans)
+            .field("orphan_spans", &self.orphan_spans);
+        w.finish()
     }
 
     /// Parse one ledger line.
     pub fn parse(line: &str) -> Result<HistoryEntry, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{key}' in {line}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(*n as u64),
-                other => Err(format!("field '{key}' is not a number: {other:?}")),
-            }
-        };
-        let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(Some(*n)),
-                JsonVal::Null => Ok(None),
-                other => Err(format!("field '{key}' is not a number or null: {other:?}")),
-            }
-        };
-        let text = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                JsonVal::Str(s) => Ok(s.clone()),
-                other => Err(format!("field '{key}' is not a string: {other:?}")),
-            }
-        };
-        let schema = text("schema")?;
+        let f = FlatObject::parse(line)?;
+        let schema = f.str("schema")?;
         if schema != HISTORY_SCHEMA {
             return Err(format!(
                 "unsupported history schema '{schema}' (want {HISTORY_SCHEMA})"
             ));
         }
         Ok(HistoryEntry {
-            seed: num("seed")?,
-            config: text("config")?,
-            git_sha: match get("git_sha")? {
-                JsonVal::Str(s) => Some(s.clone()),
-                JsonVal::Null => None,
-                other => return Err(format!("field 'git_sha' bad: {other:?}")),
-            },
-            build: text("build")?,
-            events: num("events")?,
-            total_wall_us: num("total_wall_us")?,
-            peak_heap: num("peak_heap")?,
-            optimizer_steps: num("optimizer_steps")?,
-            epochs: num("epochs")?,
-            best_valid_f1: opt_f64("best_valid_f1")?,
-            test_f1: opt_f64("test_f1")?,
-            pseudo_selected: num("pseudo_selected")?,
-            non_finite_events: num("non_finite_events")?,
-            unclosed_spans: num("unclosed_spans")?,
-            orphan_spans: num("orphan_spans")?,
+            seed: f.u64("seed")?,
+            config: f.str("config")?,
+            git_sha: f.opt_str("git_sha")?,
+            build: f.str("build")?,
+            events: f.u64("events")?,
+            total_wall_us: f.u64("total_wall_us")?,
+            peak_heap: f.u64("peak_heap")?,
+            optimizer_steps: f.u64("optimizer_steps")?,
+            epochs: f.u64("epochs")?,
+            best_valid_f1: f.opt_num("best_valid_f1")?,
+            test_f1: f.opt_num("test_f1")?,
+            pseudo_selected: f.u64("pseudo_selected")?,
+            non_finite_events: f.u64("non_finite_events")?,
+            unclosed_spans: f.u64("unclosed_spans")?,
+            orphan_spans: f.u64("orphan_spans")?,
         })
     }
 }
@@ -399,6 +342,16 @@ mod tests {
         bare.test_f1 = None;
         bare.config = String::new();
         assert_eq!(HistoryEntry::parse(&bare.to_json()).unwrap(), bare);
+    }
+
+    #[test]
+    fn checked_in_ledger_re_encodes_to_its_own_bytes() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl");
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert!(body.lines().count() >= 2, "{}", path.display());
+        for line in body.lines() {
+            assert_eq!(HistoryEntry::parse(line).unwrap().to_json(), line);
+        }
     }
 
     #[test]

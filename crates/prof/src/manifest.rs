@@ -8,6 +8,7 @@
 use crate::flame::{self, FlameRow};
 use crate::ops::{self, OpRow};
 use crate::tree::SpanTree;
+use em_obs::names::{METRIC_SERVE_REQUEST_SECS, METRIC_TEST_F1};
 use em_obs::{Event, EventKind};
 
 /// The distilled record of one run.
@@ -81,15 +82,6 @@ pub struct RunManifest {
     /// descending. Empty unless the run was traced with `--op-profile`.
     pub ops: Vec<OpRow>,
 }
-
-/// The metric-event name carrying the pipeline's test F1 gauge (label
-/// part excluded; the emitter attaches `{dataset="..."}`).
-pub const TEST_F1_METRIC: &str = "core_test_f1";
-
-/// The histogram name em-serve feeds once per answered request (mirrors
-/// `em_serve::REQUEST_SECS_METRIC`; duplicated so em-prof does not link
-/// the service to read its traces).
-pub const SERVE_LATENCY_METRIC: &str = "serve_request_secs";
 
 /// The run identity distilled from a `run_meta` event.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -193,7 +185,7 @@ pub fn manifest(events: &[Event]) -> RunManifest {
             }
             // Gauge names carry folded labels: `core_test_f1{dataset="x"}`.
             EventKind::Metric { name, value, .. }
-                if name == TEST_F1_METRIC || name.starts_with(&format!("{TEST_F1_METRIC}{{")) =>
+                if name == METRIC_TEST_F1 || name.starts_with(&format!("{METRIC_TEST_F1}{{")) =>
             {
                 m.test_f1 = Some(*value);
             }
@@ -203,8 +195,8 @@ pub fn manifest(events: &[Event]) -> RunManifest {
                 p95,
                 p99,
                 ..
-            } if name == SERVE_LATENCY_METRIC
-                || name.starts_with(&format!("{SERVE_LATENCY_METRIC}{{")) =>
+            } if name == METRIC_SERVE_REQUEST_SECS
+                || name.starts_with(&format!("{METRIC_SERVE_REQUEST_SECS}{{")) =>
             {
                 if let (Some(a), Some(b), Some(c)) = (p50, p95, p99) {
                     m.serve_latency = Some((*a, *b, *c));

@@ -15,6 +15,32 @@ fn fixture(name: &str) -> Vec<em_obs::Event> {
 }
 
 #[test]
+fn every_complete_fixture_line_re_encodes_to_its_own_bytes() {
+    // Real traces pin the writer byte for byte: each complete line parses
+    // and `to_json` gives it back unchanged. live_partial's torn final
+    // line has no newline and is not a line yet.
+    for (name, complete) in [
+        ("run_a.jsonl", 199),
+        ("run_b.jsonl", 199),
+        ("live_partial.jsonl", 133),
+    ] {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name);
+        let body = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = body
+            .split_inclusive('\n')
+            .filter_map(|l| l.strip_suffix('\n'))
+            .collect();
+        assert_eq!(lines.len(), complete, "{name}");
+        for line in lines {
+            let e = em_obs::Event::parse(line).unwrap_or_else(|err| panic!("{name}: {err}"));
+            assert_eq!(e.to_json(), line, "{name}");
+        }
+    }
+}
+
+#[test]
 fn fixture_manifest_tells_the_training_story() {
     let m = em_prof::manifest::manifest(&fixture("run_a.jsonl"));
     assert_eq!(m.seed, 7);

@@ -1,8 +1,9 @@
-//! Property test: every `em-obs` event kind survives the writer → reader
-//! round trip losslessly. The writer is `Event::to_json` (what the JSONL
-//! sink emits); the reader is `em_prof::parse_trace` (what `promptem
-//! report` consumes). Any field a new event variant adds must round-trip
-//! or this test catches it.
+//! Property tests: every `em-obs` event kind survives the writer → reader
+//! round trip losslessly, and its canonical line zeroes exactly the
+//! fields the canonical policy names. The writer is `Event::to_json`
+//! (what the JSONL sink emits); the reader is `em_prof::parse_trace`
+//! (what `promptem report` consumes). Any field a new event variant adds
+//! must round-trip or this test catches it.
 
 use em_obs::{Event, EventKind, Level};
 use proptest::prelude::*;
@@ -180,6 +181,113 @@ fn make_kind(
     }
 }
 
+/// Wrap a `make_kind` payload in an envelope; `opt` bit 8 sets `span`.
+fn make_event(
+    kind_idx: usize,
+    ints: (u64, u64, u64, u8),
+    floats: (f64, f64),
+    text: String,
+    counts: Vec<u64>,
+) -> Event {
+    let (a, b, t_us, opt) = ints;
+    let (x, y) = floats;
+    Event {
+        seq: a + 1,
+        seed: b,
+        t_us,
+        span: (opt & 8 != 0).then_some(a % 1000),
+        kind: make_kind(kind_idx, a, b, x, y, text, counts, opt),
+    }
+}
+
+/// The canonical policy written out field by field, independently of the
+/// writer's `measured` marks: a copy of `e` with every time, size and
+/// rate zeroed. `Event::to_canonical_json` must encode what this builds.
+fn canonical_oracle(e: &Event) -> Event {
+    let kind = match e.kind.clone() {
+        EventKind::SpanClose { id, name, .. } => EventKind::SpanClose {
+            id,
+            name,
+            wall_us: 0,
+            heap_delta: 0,
+            heap_peak: 0,
+        },
+        EventKind::EpochSummary {
+            epoch,
+            train_loss,
+            valid_f1,
+            threshold,
+            examples,
+            batches,
+            ..
+        } => EventKind::EpochSummary {
+            epoch,
+            train_loss,
+            valid_f1,
+            threshold,
+            examples,
+            batches,
+            wall_us: 0,
+        },
+        EventKind::OpStats {
+            op,
+            fwd_calls,
+            bwd_calls,
+            elems,
+            ..
+        } => EventKind::OpStats {
+            op,
+            fwd_calls,
+            fwd_us: 0,
+            bwd_calls,
+            bwd_us: 0,
+            elems,
+            bytes: 0,
+        },
+        EventKind::Progress {
+            phase,
+            done,
+            total,
+            examples,
+            loss,
+            tape_nodes,
+            ..
+        } => EventKind::Progress {
+            phase,
+            done,
+            total,
+            examples,
+            ex_per_sec: 0.0,
+            loss,
+            eta_us: None,
+            tape_nodes,
+            heap_peak: 0,
+        },
+        EventKind::Metric {
+            name, kind, value, ..
+        } => EventKind::Metric {
+            value: if kind == "histogram" { 0.0 } else { value },
+            name,
+            kind,
+            count: None,
+            p50: None,
+            p95: None,
+            p99: None,
+        },
+        EventKind::CkptSave { step, kept, .. } => EventKind::CkptSave {
+            step,
+            bytes: 0,
+            kept,
+        },
+        other => other,
+    };
+    Event {
+        t_us: 0,
+        kind,
+        ..e.clone()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -191,19 +299,26 @@ proptest! {
         text in "[a-zA-Z0-9_ .\"\\\\/-]{0,16}",
         counts in proptest::collection::vec(0u64..100_000, 0..9),
     ) {
-        let (a, b, t_us, opt) = ints;
-        let (x, y) = floats;
-        let event = Event {
-            seq: a + 1,
-            seed: b,
-            t_us,
-            span: (opt & 8 != 0).then_some(a % 1000),
-            kind: make_kind(kind_idx, a, b, x, y, text, counts, opt),
-        };
+        let event = make_event(kind_idx, ints, floats, text, counts);
         let body = format!("{}\n", event.to_json());
         let parsed = em_prof::parse_trace(&body)
             .unwrap_or_else(|e| panic!("{e}\nbody: {body}"));
         prop_assert_eq!(&parsed, &vec![event.clone()]);
+    }
+
+    #[test]
+    fn canonical_lines_zero_exactly_the_oracle_fields(
+        kind_idx in 0usize..23,
+        ints in (0u64..1_000_000_000, 0u64..1_000_000, 0u64..1 << 40, 0u8..16),
+        floats in (-1e9f64..1e9, 0.0f64..100.0),
+        text in "[a-zA-Z0-9_ .\"\\\\/-]{0,16}",
+        counts in proptest::collection::vec(0u64..100_000, 0..9),
+    ) {
+        let event = make_event(kind_idx, ints, floats, text, counts);
+        prop_assert_eq!(
+            em_prof::canonical_lines(std::slice::from_ref(&event)),
+            vec![canonical_oracle(&event).to_json()]
+        );
     }
 
     #[test]

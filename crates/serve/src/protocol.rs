@@ -1,8 +1,8 @@
 //! The wire protocol: one flat JSON object per line, both directions.
 //!
 //! The schema is deliberately flat (scalars plus number arrays) so both
-//! sides reuse `em_obs::event::parse_flat_object` — the exact parser the
-//! trace tooling uses — instead of growing a second JSON dialect.
+//! sides use `em_obs::json` — the writer and reader of the trace itself —
+//! instead of growing a second JSON dialect.
 //!
 //! Requests:
 //!
@@ -18,7 +18,7 @@
 //! `"failed"`, `"bad_request"`). Parsing is total: torn or invalid lines
 //! return `Err`, never panic.
 
-use em_obs::event::{parse_flat_object, JsonVal};
+use em_obs::json::{parse_flat_object, FlatObject, JsonVal, ObjectWriter};
 
 /// A client-to-server request.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,79 +134,6 @@ pub enum Response {
     },
 }
 
-/// Append `s` as a JSON string literal (the escape set `parse_string`
-/// in em-obs understands: `\" \\ \n \r \t \uXXXX`).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_u64_arr(out: &mut String, key: &str, vals: impl Iterator<Item = u64>) {
-    out.push(',');
-    push_json_str(out, key);
-    out.push_str(":[");
-    for (i, v) in vals.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-/// Typed field access over a parsed flat object.
-struct Fields(Vec<(String, JsonVal)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Option<&JsonVal> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn str_field(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(JsonVal::Str(s)) => Ok(s.clone()),
-            other => Err(format!("field '{key}' must be a string, got {other:?}")),
-        }
-    }
-
-    fn u64_field(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(JsonVal::Num(n)) => Ok(*n as u64),
-            other => Err(format!("field '{key}' must be a number, got {other:?}")),
-        }
-    }
-
-    fn opt_u64_field(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            Some(JsonVal::Num(n)) => Ok(Some(*n as u64)),
-            Some(JsonVal::Null) | None => Ok(None),
-            other => Err(format!(
-                "field '{key}' must be a number or null, got {other:?}"
-            )),
-        }
-    }
-
-    fn arr_field(&self, key: &str) -> Result<&[f64], String> {
-        match self.get(key) {
-            Some(JsonVal::Arr(vs)) => Ok(vs),
-            other => Err(format!("field '{key}' must be an array, got {other:?}")),
-        }
-    }
-}
-
 /// Best-effort id recovery from a line that may not fully parse, so a
 /// `bad_request` reply can still name the request it answers.
 pub fn line_id(line: &str) -> String {
@@ -224,42 +151,39 @@ pub fn line_id(line: &str) -> String {
 impl Request {
     /// Encode as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = String::from("{\"op\":");
         let (op, id) = match self {
             Request::Match { id, .. } => ("match", id),
             Request::Ping { id } => ("ping", id),
             Request::Stats { id } => ("stats", id),
             Request::Shutdown { id } => ("shutdown", id),
         };
-        push_json_str(&mut out, op);
-        out.push_str(",\"id\":");
-        push_json_str(&mut out, id);
+        let mut w = ObjectWriter::new(false);
+        w.field("op", op).field("id", id);
         if let Request::Match {
             pairs, deadline_ms, ..
         } = self
         {
-            push_u64_arr(&mut out, "left", pairs.iter().map(|p| u64::from(p.0)));
-            push_u64_arr(&mut out, "right", pairs.iter().map(|p| u64::from(p.1)));
+            w.array("left", pairs.iter().map(|p| u64::from(p.0)))
+                .array("right", pairs.iter().map(|p| u64::from(p.1)));
             if let Some(d) = deadline_ms {
-                out.push_str(&format!(",\"deadline_ms\":{d}"));
+                w.field("deadline_ms", d);
             }
         }
-        out.push('}');
-        out
+        w.finish()
     }
 
     /// Parse one request line. Total: every malformed input is an `Err`.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let f = Fields(parse_flat_object(line)?);
-        let op = f.str_field("op")?;
-        let id = f.str_field("id")?;
+        let f = FlatObject::parse(line)?;
+        let op = f.str("op")?;
+        let id = f.str("id")?;
         if id.is_empty() {
             return Err("empty request id".into());
         }
         match op.as_str() {
             "match" => {
-                let left = f.arr_field("left")?;
-                let right = f.arr_field("right")?;
+                let left = f.nums("left")?;
+                let right = f.nums("right")?;
                 if left.len() != right.len() {
                     return Err(format!(
                         "left/right length mismatch: {} vs {}",
@@ -281,10 +205,16 @@ impl Request {
                     .zip(right)
                     .map(|(&l, &r)| Ok((to_u32(l, "left")?, to_u32(r, "right")?)))
                     .collect::<Result<Vec<_>, String>>()?;
+                // `deadline_ms` is optional: absent and `null` both mean none.
+                let deadline_ms = if f.has("deadline_ms") {
+                    f.opt_u64("deadline_ms")?
+                } else {
+                    None
+                };
                 Ok(Request::Match {
                     id,
                     pairs,
-                    deadline_ms: f.opt_u64_field("deadline_ms")?,
+                    deadline_ms,
                 })
             }
             "ping" => Ok(Request::Ping { id }),
@@ -298,86 +228,68 @@ impl Request {
 impl Response {
     /// Encode as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = String::from("{\"id\":");
+        let mut w = ObjectWriter::new(false);
+        w.field("id", self.id());
         match self {
             Response::Matched {
-                id,
-                proba,
-                decision,
+                proba, decision, ..
             } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"ok\":true,\"proba\":[");
-                for (i, p) in proba.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    // f32 Display is the shortest decimal that round-trips
-                    // to the same f32, so parse-back is bit-exact.
-                    out.push_str(&format!("{p}"));
-                }
-                out.push(']');
-                push_u64_arr(&mut out, "match", decision.iter().map(|&d| u64::from(d)));
+                w.field("ok", &true)
+                    .array("proba", proba)
+                    .array("match", decision.iter().map(|&d| u64::from(d)));
             }
             Response::Rejected {
-                id,
                 reason,
                 retry_after_ms,
+                ..
             } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"ok\":false,\"error\":\"rejected\",\"reason\":");
-                push_json_str(&mut out, reason);
-                out.push_str(&format!(",\"retry_after_ms\":{retry_after_ms}"));
+                w.field("ok", &false)
+                    .field("error", "rejected")
+                    .field("reason", reason)
+                    .field("retry_after_ms", retry_after_ms);
             }
-            Response::DeadlineExceeded { id } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"ok\":false,\"error\":\"deadline_exceeded\"");
+            Response::DeadlineExceeded { .. } => {
+                w.field("ok", &false).field("error", "deadline_exceeded");
             }
-            Response::Duplicate { id } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"ok\":false,\"error\":\"duplicate_id\"");
+            Response::Duplicate { .. } => {
+                w.field("ok", &false).field("error", "duplicate_id");
             }
-            Response::Failed { id, reason } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"ok\":false,\"error\":\"failed\",\"reason\":");
-                push_json_str(&mut out, reason);
+            Response::Failed { reason, .. } => {
+                w.field("ok", &false)
+                    .field("error", "failed")
+                    .field("reason", reason);
             }
-            Response::BadRequest { id, reason } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"ok\":false,\"error\":\"bad_request\",\"reason\":");
-                push_json_str(&mut out, reason);
+            Response::BadRequest { reason, .. } => {
+                w.field("ok", &false)
+                    .field("error", "bad_request")
+                    .field("reason", reason);
             }
-            Response::Pong { id } => {
-                push_json_str(&mut out, id);
-                out.push_str(",\"ok\":true");
+            Response::Pong { .. } => {
+                w.field("ok", &true);
             }
-            Response::Stats { id, body } => {
-                push_json_str(&mut out, id);
-                out.push_str(&format!(
-                    ",\"ok\":true,\"admitted\":{},\"completed\":{},\"rejected\":{},\"failed\":{},\"restarts\":{}",
-                    body.admitted, body.completed, body.rejected, body.failed, body.restarts
-                ));
+            Response::Stats { body, .. } => {
+                w.field("ok", &true)
+                    .field("admitted", &body.admitted)
+                    .field("completed", &body.completed)
+                    .field("rejected", &body.rejected)
+                    .field("failed", &body.failed)
+                    .field("restarts", &body.restarts);
             }
-            Response::Drained { id, completed } => {
-                push_json_str(&mut out, id);
-                out.push_str(&format!(",\"ok\":true,\"drained\":{completed}"));
+            Response::Drained { completed, .. } => {
+                w.field("ok", &true).field("drained", completed);
             }
         }
-        out.push('}');
-        out
+        w.finish()
     }
 
     /// Parse one response line. Total: every malformed input is an `Err`.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let f = Fields(parse_flat_object(line)?);
-        let id = f.str_field("id")?;
-        let ok = match f.get("ok") {
-            Some(JsonVal::Bool(b)) => *b,
-            other => return Err(format!("field 'ok' must be a bool, got {other:?}")),
-        };
-        if ok {
-            if f.get("proba").is_some() {
-                let proba: Vec<f32> = f.arr_field("proba")?.iter().map(|&v| v as f32).collect();
-                let decision: Vec<bool> = f.arr_field("match")?.iter().map(|&v| v != 0.0).collect();
+        let f = FlatObject::parse(line)?;
+        let id = f.str("id")?;
+        if f.bool("ok")? {
+            if f.has("proba") {
+                let proba: Vec<f32> = f.nums("proba")?.iter().map(|&v| v as f32).collect();
+                let decision: Vec<bool> = f.nums("match")?.iter().map(|&v| v != 0.0).collect();
                 if proba.len() != decision.len() {
                     return Err("proba/match length mismatch".into());
                 }
@@ -387,41 +299,41 @@ impl Response {
                     decision,
                 });
             }
-            if f.get("admitted").is_some() {
+            if f.has("admitted") {
                 return Ok(Response::Stats {
                     id,
                     body: StatsBody {
-                        admitted: f.u64_field("admitted")?,
-                        completed: f.u64_field("completed")?,
-                        rejected: f.u64_field("rejected")?,
-                        failed: f.u64_field("failed")?,
-                        restarts: f.u64_field("restarts")?,
+                        admitted: f.u64("admitted")?,
+                        completed: f.u64("completed")?,
+                        rejected: f.u64("rejected")?,
+                        failed: f.u64("failed")?,
+                        restarts: f.u64("restarts")?,
                     },
                 });
             }
-            if f.get("drained").is_some() {
+            if f.has("drained") {
                 return Ok(Response::Drained {
                     id,
-                    completed: f.u64_field("drained")?,
+                    completed: f.u64("drained")?,
                 });
             }
             return Ok(Response::Pong { id });
         }
-        match f.str_field("error")?.as_str() {
+        match f.str("error")?.as_str() {
             "rejected" => Ok(Response::Rejected {
                 id,
-                reason: f.str_field("reason")?,
-                retry_after_ms: f.u64_field("retry_after_ms")?,
+                reason: f.str("reason")?,
+                retry_after_ms: f.u64("retry_after_ms")?,
             }),
             "deadline_exceeded" => Ok(Response::DeadlineExceeded { id }),
             "duplicate_id" => Ok(Response::Duplicate { id }),
             "failed" => Ok(Response::Failed {
                 id,
-                reason: f.str_field("reason")?,
+                reason: f.str("reason")?,
             }),
             "bad_request" => Ok(Response::BadRequest {
                 id,
-                reason: f.str_field("reason")?,
+                reason: f.str("reason")?,
             }),
             other => Err(format!("unknown error kind '{other}'")),
         }
@@ -450,22 +362,38 @@ mod tests {
     #[test]
     fn request_round_trips() {
         let reqs = vec![
-            Request::Match {
-                id: "r-1".into(),
-                pairs: vec![(0, 1), (7, 3)],
-                deadline_ms: Some(250),
-            },
-            Request::Match {
-                id: "r \"quoted\"\n".into(),
-                pairs: vec![(u32::MAX, 0)],
-                deadline_ms: None,
-            },
-            Request::Ping { id: "p".into() },
-            Request::Stats { id: "s".into() },
-            Request::Shutdown { id: "q".into() },
+            (
+                Request::Match {
+                    id: "r-1".into(),
+                    pairs: vec![(0, 1), (7, 3)],
+                    deadline_ms: Some(250),
+                },
+                r#"{"op":"match","id":"r-1","left":[0,7],"right":[1,3],"deadline_ms":250}"#,
+            ),
+            (
+                Request::Match {
+                    id: "r \"quoted\"\n".into(),
+                    pairs: vec![(u32::MAX, 0)],
+                    deadline_ms: None,
+                },
+                r#"{"op":"match","id":"r \"quoted\"\n","left":[4294967295],"right":[0]}"#,
+            ),
+            (
+                Request::Ping { id: "p".into() },
+                r#"{"op":"ping","id":"p"}"#,
+            ),
+            (
+                Request::Stats { id: "s".into() },
+                r#"{"op":"stats","id":"s"}"#,
+            ),
+            (
+                Request::Shutdown { id: "q".into() },
+                r#"{"op":"shutdown","id":"q"}"#,
+            ),
         ];
-        for r in reqs {
+        for (r, pinned) in reqs {
             let line = r.encode();
+            assert_eq!(line, pinned);
             assert_eq!(Request::parse(&line).as_ref(), Ok(&r), "{line}");
         }
     }
@@ -473,44 +401,69 @@ mod tests {
     #[test]
     fn response_round_trips() {
         let resps = vec![
-            Response::Matched {
-                id: "r-1".into(),
-                proba: vec![0.25, 1.0, 1e-7],
-                decision: vec![false, true, false],
-            },
-            Response::Rejected {
-                id: "r-2".into(),
-                reason: "queue_full".into(),
-                retry_after_ms: 25,
-            },
-            Response::DeadlineExceeded { id: "r-3".into() },
-            Response::Duplicate { id: "r-4".into() },
-            Response::Failed {
-                id: "r-5".into(),
-                reason: "worker_lost".into(),
-            },
-            Response::BadRequest {
-                id: String::new(),
-                reason: "unknown op 'x'".into(),
-            },
-            Response::Pong { id: "p".into() },
-            Response::Stats {
-                id: "s".into(),
-                body: StatsBody {
-                    admitted: 10,
-                    completed: 7,
-                    rejected: 2,
-                    failed: 1,
-                    restarts: 3,
+            (
+                Response::Matched {
+                    id: "r-1".into(),
+                    proba: vec![0.25, 1.0, 1e-7],
+                    decision: vec![false, true, false],
                 },
-            },
-            Response::Drained {
-                id: "q".into(),
-                completed: 7,
-            },
+                r#"{"id":"r-1","ok":true,"proba":[0.25,1,0.0000001],"match":[0,1,0]}"#,
+            ),
+            (
+                Response::Rejected {
+                    id: "r-2".into(),
+                    reason: "queue_full".into(),
+                    retry_after_ms: 25,
+                },
+                r#"{"id":"r-2","ok":false,"error":"rejected","reason":"queue_full","retry_after_ms":25}"#,
+            ),
+            (
+                Response::DeadlineExceeded { id: "r-3".into() },
+                r#"{"id":"r-3","ok":false,"error":"deadline_exceeded"}"#,
+            ),
+            (
+                Response::Duplicate { id: "r-4".into() },
+                r#"{"id":"r-4","ok":false,"error":"duplicate_id"}"#,
+            ),
+            (
+                Response::Failed {
+                    id: "r-5".into(),
+                    reason: "worker_lost".into(),
+                },
+                r#"{"id":"r-5","ok":false,"error":"failed","reason":"worker_lost"}"#,
+            ),
+            (
+                Response::BadRequest {
+                    id: String::new(),
+                    reason: "unknown op 'x'".into(),
+                },
+                r#"{"id":"","ok":false,"error":"bad_request","reason":"unknown op 'x'"}"#,
+            ),
+            (Response::Pong { id: "p".into() }, r#"{"id":"p","ok":true}"#),
+            (
+                Response::Stats {
+                    id: "s".into(),
+                    body: StatsBody {
+                        admitted: 10,
+                        completed: 7,
+                        rejected: 2,
+                        failed: 1,
+                        restarts: 3,
+                    },
+                },
+                r#"{"id":"s","ok":true,"admitted":10,"completed":7,"rejected":2,"failed":1,"restarts":3}"#,
+            ),
+            (
+                Response::Drained {
+                    id: "q".into(),
+                    completed: 7,
+                },
+                r#"{"id":"q","ok":true,"drained":7}"#,
+            ),
         ];
-        for r in resps {
+        for (r, pinned) in resps {
             let line = r.encode();
+            assert_eq!(line, pinned);
             assert_eq!(Response::parse(&line).as_ref(), Ok(&r), "{line}");
         }
     }

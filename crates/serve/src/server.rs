@@ -22,10 +22,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Histogram fed once per answered request; `promptem report` derives
-/// serving latency percentiles from its trace snapshot.
-pub const REQUEST_SECS_METRIC: &str = "serve_request_secs";
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeCfg {

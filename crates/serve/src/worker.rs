@@ -8,10 +8,10 @@
 //! worker assignment affects any decision — completed responses are
 //! bit-identical to an offline run over the same pairs.
 
+use crate::lock;
 use crate::mailbox::Mailbox;
 use crate::protocol::Response;
 use crate::server::ServeStats;
-use crate::{lock, server};
 use em_obs::Stopwatch;
 use std::io::Write;
 use std::net::TcpStream;
@@ -150,7 +150,7 @@ impl Job {
         }
         self.sink.deliver(resp);
         let secs = self.admitted.secs();
-        em_obs::metrics::histogram(server::REQUEST_SECS_METRIC, &[]).record(secs);
+        em_obs::metrics::histogram(em_obs::names::METRIC_SERVE_REQUEST_SECS, &[]).record(secs);
         em_obs::request(
             self.id.clone(),
             self.pairs.len() as u64,
