@@ -65,16 +65,16 @@ fn shuffle_span(ids: &[usize], rng: &mut impl Rng) -> Vec<usize> {
 pub fn apply(op: AugmentOp, pair: &EncodedPair, rng: &mut impl Rng) -> EncodedPair {
     match op {
         AugmentOp::TokenDelete => EncodedPair {
-            ids_a: delete_tokens(&pair.ids_a, 0.1, rng),
-            ids_b: delete_tokens(&pair.ids_b, 0.1, rng),
+            ids_a: delete_tokens(&pair.ids_a, 0.1, rng).into(),
+            ids_b: delete_tokens(&pair.ids_b, 0.1, rng).into(),
         },
         AugmentOp::TokenSwap => EncodedPair {
-            ids_a: swap_adjacent(&pair.ids_a, rng),
-            ids_b: swap_adjacent(&pair.ids_b, rng),
+            ids_a: swap_adjacent(&pair.ids_a, rng).into(),
+            ids_b: swap_adjacent(&pair.ids_b, rng).into(),
         },
         AugmentOp::SpanShuffle => EncodedPair {
-            ids_a: shuffle_span(&pair.ids_a, rng),
-            ids_b: shuffle_span(&pair.ids_b, rng),
+            ids_a: shuffle_span(&pair.ids_a, rng).into(),
+            ids_b: shuffle_span(&pair.ids_b, rng).into(),
         },
         AugmentOp::SideSwap => EncodedPair {
             ids_a: pair.ids_b.clone(),
@@ -135,8 +135,8 @@ mod tests {
         let p = pair();
         for op in [AugmentOp::TokenSwap, AugmentOp::SpanShuffle] {
             let a = apply(op, &p, &mut rng);
-            let mut x = a.ids_a.clone();
-            let mut y = p.ids_a.clone();
+            let mut x = a.ids_a.to_vec();
+            let mut y = p.ids_a.to_vec();
             x.sort_unstable();
             y.sort_unstable();
             assert_eq!(x, y, "{op:?} changed the token multiset");

@@ -226,8 +226,8 @@ mod tests {
     fn empty_side_does_not_panic() {
         let mut m = DeepMatcherModel::new(50, 16, 3);
         let p = EncodedPair {
-            ids_a: vec![],
-            ids_b: vec![10, 11],
+            ids_a: vec![].into(),
+            ids_b: vec![10, 11].into(),
         };
         let probs = m.predict_proba(&[p]);
         assert!(probs[0].is_finite());

@@ -65,8 +65,8 @@ fn main() {
         let mut rng2 = StdRng::seed_from_u64(5);
         for ex in &encoded.test {
             let mut ids = vec![em_lm::tokenizer::CLS];
-            ids.extend(&ex.pair.ids_a);
-            ids.extend(&ex.pair.ids_b);
+            ids.extend_from_slice(&ex.pair.ids_a);
+            ids.extend_from_slice(&ex.pair.ids_b);
             ids.extend(lm.tokenizer.encode("they are"));
             ids.push(em_lm::tokenizer::MASK);
             ids.push(em_lm::tokenizer::SEP);

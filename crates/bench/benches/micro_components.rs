@@ -1,9 +1,10 @@
 //! Criterion microbenchmarks of the substrates: serialization, TF-IDF
-//! summarization, tokenization, matmul kernels, the GELU and softmax
-//! kernels, encoder forward, one prompt-tuning epoch, MC-Dropout passes,
-//! MC-EL2N scoring and one RWR power-iteration step.
+//! summarization, tokenization, token blocking, matmul kernels, the GELU
+//! and softmax kernels, encoder forward, one prompt-tuning epoch,
+//! MC-Dropout passes, MC-EL2N scoring and one RWR power-iteration step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use em_data::blocking::{record_tokens, TokenIndex};
 use em_data::serialize::serialize;
 use em_data::summarize::TfIdf;
 use em_data::synth::{build, BenchmarkId, Scale};
@@ -59,6 +60,26 @@ fn bench_tokenize(c: &mut Criterion) {
 }
 
 /// A deterministic `rows × cols` operand for the kernel benches.
+/// Every left record of full-scale SEMI-HETER queried against the right
+/// table's index (built once), as the bulk matcher blocks.
+fn bench_blocking(c: &mut Criterion) {
+    let ds = build(BenchmarkId::SemiHeter, Scale::Full, 42);
+    let index = TokenIndex::build(&ds.right.records, ds.right.format);
+    let queries: Vec<_> = ds
+        .left
+        .records
+        .iter()
+        .map(|r| record_tokens(r, ds.left.format))
+        .collect();
+    c.bench_function("blocking_candidates_semi_heter", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(index.candidates(black_box(q), 2, None));
+            }
+        })
+    });
+}
+
 fn operand(rows: usize, cols: usize, salt: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, cc| ((r * 31 + cc * 7 + salt) as f32).sin())
 }
@@ -182,8 +203,8 @@ fn bench_prompt_train_epoch(c: &mut Criterion) {
     let train: Vec<Example> = (0..32)
         .map(|i| Example {
             pair: EncodedPair {
-                ids_a: entity(i * 3),
-                ids_b: entity(i * 3 + if i % 2 == 0 { 0 } else { 1 }),
+                ids_a: entity(i * 3).into(),
+                ids_b: entity(i * 3 + if i % 2 == 0 { 0 } else { 1 }).into(),
             },
             label: i % 2 == 0,
         })
@@ -228,7 +249,7 @@ fn bench_rwr_step(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_serialize, bench_summarize, bench_tokenize, bench_matmul,
+    targets = bench_serialize, bench_summarize, bench_tokenize, bench_blocking, bench_matmul,
               bench_elementwise, bench_encoder_forward, bench_train_step,
               bench_prompt_train_epoch, bench_rwr_step
 }

@@ -145,8 +145,8 @@ mod tests {
     fn pool(n: usize) -> Vec<EncodedPair> {
         (0..n)
             .map(|i| EncodedPair {
-                ids_a: vec![i],
-                ids_b: vec![i],
+                ids_a: vec![i].into(),
+                ids_b: vec![i].into(),
             })
             .collect()
     }
@@ -191,8 +191,8 @@ mod tests {
         let valid: Vec<Example> = (0..4)
             .map(|i| Example {
                 pair: EncodedPair {
-                    ids_a: vec![i],
-                    ids_b: vec![i],
+                    ids_a: vec![i].into(),
+                    ids_b: vec![i].into(),
                 },
                 label: true,
             })

@@ -7,14 +7,17 @@ use em_data::record::Format;
 use em_data::serialize::serialize;
 use em_data::summarize::TfIdf;
 use em_lm::Tokenizer;
+use std::sync::Arc;
 
-/// A tokenized candidate pair.
+/// A tokenized candidate pair. The ids are shared: every pair that
+/// [`PairCodec::encode`] makes for one record points at that record's one
+/// copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedPair {
     /// Token ids of the left record's summary.
-    pub ids_a: Vec<usize>,
+    pub ids_a: Arc<[usize]>,
     /// Token ids of the right record's summary.
-    pub ids_b: Vec<usize>,
+    pub ids_b: Arc<[usize]>,
 }
 
 /// A labeled tokenized pair.
@@ -96,17 +99,16 @@ fn table_texts(
 /// dataset encoding.
 #[derive(Clone)]
 pub struct PairCodec {
-    left_ids: Vec<Vec<usize>>,
-    right_ids: Vec<Vec<usize>>,
+    left_ids: Vec<Arc<[usize]>>,
+    right_ids: Vec<Arc<[usize]>>,
 }
 
 impl PairCodec {
     /// Serialize, summarize, and tokenize every record of both tables.
     pub fn build(ds: &GemDataset, tokenizer: &Tokenizer, cfg: &EncodeCfg) -> Self {
-        let clip = |ids: Vec<usize>| -> Vec<usize> {
-            let mut ids = ids;
+        let clip = |mut ids: Vec<usize>| -> Arc<[usize]> {
             ids.truncate(cfg.side_tokens);
-            ids
+            ids.into()
         };
         PairCodec {
             left_ids: table_texts(&ds.left.records, ds.left.format, cfg)
@@ -125,7 +127,8 @@ impl PairCodec {
         (self.left_ids.len(), self.right_ids.len())
     }
 
-    /// Encode one record pair; `None` when either index is out of range.
+    /// Encode one record pair, sharing each record's ids; `None` when
+    /// either index is out of range.
     pub fn encode(&self, left: usize, right: usize) -> Option<EncodedPair> {
         Some(EncodedPair {
             ids_a: self.left_ids.get(left)?.clone(),
@@ -185,6 +188,26 @@ mod tests {
             .collect();
         let tok = Tokenizer::fit(corpus.iter().map(|s| s.as_str()), 1);
         encode_dataset(&ds, &tok, &EncodeCfg::default())
+    }
+
+    #[test]
+    fn pairs_share_their_records_ids() {
+        let ds = build(BenchmarkId::RelHeter, Scale::Quick, 17);
+        let corpus: Vec<String> = ds
+            .left
+            .records
+            .iter()
+            .map(|r| serialize(r, ds.left.format))
+            .collect();
+        let tok = Tokenizer::fit(corpus.iter().map(|s| s.as_str()), 1);
+        let codec = PairCodec::build(&ds, &tok, &EncodeCfg::default());
+        let first = codec.encode(3, 5).expect("in range");
+        let again = codec.encode(3, 5).expect("in range");
+        assert!(Arc::ptr_eq(&first.ids_a, &again.ids_a));
+        assert!(Arc::ptr_eq(&first.ids_b, &again.ids_b));
+        let other = codec.encode(3, 6).expect("in range");
+        assert!(Arc::ptr_eq(&first.ids_a, &other.ids_a));
+        assert_eq!(codec.encode(3, ds.right.records.len()), None);
     }
 
     #[test]

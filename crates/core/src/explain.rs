@@ -10,6 +10,7 @@ use em_data::record::{Format, Record};
 use em_data::serialize::serialize;
 use em_data::summarize::TfIdf;
 use em_lm::Tokenizer;
+use std::sync::Arc;
 
 /// Importance of one attribute for one pair's decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +28,7 @@ fn encode_side(
     format: Format,
     tokenizer: &Tokenizer,
     cfg: &EncodeCfg,
-) -> Vec<usize> {
+) -> Arc<[usize]> {
     let raw = serialize(record, format);
     let text = if cfg.summarize_text && raw.split_whitespace().count() > cfg.side_tokens {
         // Single-document TF-IDF degenerates to TF ordering, which is still
@@ -38,7 +39,7 @@ fn encode_side(
     };
     let mut ids = tokenizer.encode(&text);
     ids.truncate(cfg.side_tokens);
-    ids
+    ids.into()
 }
 
 fn without_attr(record: &Record, name: &str) -> Record {

@@ -207,8 +207,8 @@ mod tests {
         let backbone = tiny_backbone();
         let model = FineTuneModel::new(backbone, 1);
         let p = EncodedPair {
-            ids_a: vec![10, 11],
-            ids_b: vec![12],
+            ids_a: vec![10, 11].into(),
+            ids_b: vec![12].into(),
         };
         let ids = model.pair_ids(&p);
         assert_eq!(ids, vec![CLS, 10, 11, SEP, 12, SEP]);
@@ -220,8 +220,8 @@ mod tests {
         let model = FineTuneModel::new(backbone, 2);
         let long: Vec<usize> = (0..200).map(|i| 10 + i % 5).collect();
         let p = EncodedPair {
-            ids_a: long.clone(),
-            ids_b: long,
+            ids_a: long.clone().into(),
+            ids_b: long.into(),
         };
         let ids = model.pair_ids(&p);
         assert!(ids.len() <= model.lm.max_len());

@@ -835,8 +835,8 @@ mod tests {
                 .iter()
                 .map(|&(a, b, label)| Example {
                     pair: EncodedPair {
-                        ids_a: tok.encode(a),
-                        ids_b: tok.encode(b),
+                        ids_a: tok.encode(a).into(),
+                        ids_b: tok.encode(b).into(),
                     },
                     label,
                 })

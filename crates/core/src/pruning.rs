@@ -69,8 +69,8 @@ mod tests {
     fn ex(label: bool, tag: usize) -> Example {
         Example {
             pair: EncodedPair {
-                ids_a: vec![tag],
-                ids_b: vec![tag],
+                ids_a: vec![tag].into(),
+                ids_b: vec![tag].into(),
             },
             label,
         }

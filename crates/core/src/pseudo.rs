@@ -330,8 +330,8 @@ mod tests {
     fn pool(n: usize) -> Vec<EncodedPair> {
         (0..n)
             .map(|i| EncodedPair {
-                ids_a: vec![i],
-                ids_b: vec![i],
+                ids_a: vec![i].into(),
+                ids_b: vec![i].into(),
             })
             .collect()
     }
@@ -408,7 +408,7 @@ mod tests {
         ];
         let (exs, consumed) = apply_pseudo_labels(&u, &sel);
         assert_eq!(exs.len(), 2);
-        assert_eq!(exs[0].pair.ids_a, vec![3]);
+        assert_eq!(*exs[0].pair.ids_a, [3]);
         assert!(exs[0].label);
         assert_eq!(consumed, vec![3, 0]);
     }

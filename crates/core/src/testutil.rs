@@ -94,7 +94,10 @@ pub fn toy_examples(lm: &PretrainedLm, n: usize, seed: u64) -> (Vec<Example>, Ve
             .encode(&format!("[COL] name [VAL] {} shop", names[i]));
         let b = lm.tokenizer.encode(&format!("{} shop", names[j]));
         all.push(Example {
-            pair: EncodedPair { ids_a: a, ids_b: b },
+            pair: EncodedPair {
+                ids_a: a.into(),
+                ids_b: b.into(),
+            },
             label: i == j,
         });
     }

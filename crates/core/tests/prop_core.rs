@@ -18,7 +18,7 @@ proptest! {
         let n = scores.len();
         let examples: Vec<Example> = (0..n)
             .map(|i| Example {
-                pair: EncodedPair { ids_a: vec![i], ids_b: vec![i] },
+                pair: EncodedPair { ids_a: vec![i].into(), ids_b: vec![i].into() },
                 label: i % 2 == 0,
             })
             .collect();

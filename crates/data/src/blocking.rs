@@ -5,6 +5,7 @@
 //! entities — mirroring how the Machamp candidates were built.
 
 use crate::record::{Format, Record};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// Tokens of a record's attribute *values*, lowercased. Attribute names and
@@ -54,29 +55,38 @@ impl TokenIndex {
         TokenIndex { postings, tokens }
     }
 
-    /// Indices of records sharing at least `min_overlap` tokens with the
-    /// query set, ranked by overlap count (descending), excluding `skip`.
+    /// `(index, overlap)` of the records sharing at least
+    /// `max(min_overlap, 1)` tokens with the query set, excluding `skip`
+    /// (a `skip` outside the index skips nothing), ranked by overlap
+    /// descending, then index ascending.
+    ///
+    /// One count slot per indexed record: the survivors come out of the
+    /// scan in index order, so a stable sort on the count alone gives the
+    /// ranking (DESIGN §19).
     pub fn candidates(
         &self,
         query: &HashSet<String>,
         min_overlap: usize,
         skip: Option<usize>,
     ) -> Vec<(usize, usize)> {
-        let mut counts: HashMap<usize, usize> = HashMap::new();
+        let mut counts = vec![0usize; self.tokens.len()];
         for t in query {
             if let Some(ids) = self.postings.get(t) {
                 for &i in ids {
-                    if Some(i) != skip {
-                        *counts.entry(i).or_insert(0) += 1;
-                    }
+                    counts[i] += 1;
                 }
             }
         }
+        if let Some(c) = skip.and_then(|i| counts.get_mut(i)) {
+            *c = 0;
+        }
+        let floor = min_overlap.max(1);
         let mut out: Vec<(usize, usize)> = counts
             .into_iter()
-            .filter(|&(_, c)| c >= min_overlap)
+            .enumerate()
+            .filter(|&(_, c)| c >= floor)
             .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        out.sort_by_key(|&(_, c)| Reverse(c));
         out
     }
 
@@ -231,6 +241,99 @@ mod tests {
         let wide = evaluate_blocking(&ds, 20, 2);
         assert!(wide.recall >= narrow.recall);
         assert!(wide.candidates >= narrow.candidates);
+    }
+
+    /// FNV-1a 64 over a stream of integers, each as 8 little-endian bytes.
+    fn fnv(values: impl IntoIterator<Item = usize>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for b in (v as u64).to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn semi_heter_full_candidates_and_splits_keep_their_hashes() {
+        use crate::synth::{build, BenchmarkId, Scale};
+        let ds = build(BenchmarkId::SemiHeter, Scale::Full, 42);
+        let index = TokenIndex::build(&ds.right.records, ds.right.format);
+        let candidates = ds.left.records.iter().flat_map(|r| {
+            let c = index.candidates(&record_tokens(r, ds.left.format), 2, None);
+            std::iter::once(c.len()).chain(c.into_iter().flat_map(|(j, n)| [j, n]))
+        });
+        let splits = [&ds.train, &ds.valid, &ds.test, &ds.unlabeled]
+            .into_iter()
+            .flat_map(|s| {
+                std::iter::once(s.len()).chain(
+                    s.iter()
+                        .flat_map(|lp| [lp.pair.left, lp.pair.right, usize::from(lp.label)]),
+                )
+            });
+        // Recorded with the hash-map blocker the dense count replaced.
+        assert_eq!(
+            (fnv(candidates), fnv(splits)),
+            (0x7ef2_7d42_3d59_208a, 0xf286_20ff_c8fe_31d3)
+        );
+    }
+
+    /// The blocker before dense counts: a hash map of overlaps and a
+    /// comparison sort on (count descending, index ascending). The oracle
+    /// of [`TokenIndex::candidates`].
+    fn hash_map_candidates(
+        index: &TokenIndex,
+        query: &HashSet<String>,
+        min_overlap: usize,
+        skip: Option<usize>,
+    ) -> Vec<(usize, usize)> {
+        let mut counts: HashMap<usize, usize> = HashMap::new();
+        for t in query {
+            if let Some(ids) = index.postings.get(t) {
+                for &i in ids {
+                    if Some(i) != skip {
+                        *counts.entry(i).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        let mut out: Vec<(usize, usize)> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= min_overlap)
+            .collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Small indexes over a six-letter vocabulary, so records share
+        /// tokens and overlaps tie; queries may be empty or hold letters
+        /// no record has.
+        #[test]
+        fn dense_counts_match_the_hash_map_oracle(
+            words in proptest::collection::vec(proptest::collection::vec("[a-f]", 0..5), 0..9),
+            query in proptest::collection::vec("[a-g]", 0..6),
+        ) {
+            let records: Vec<Record> = words.iter().map(|w| rec(&w.join(" "))).collect();
+            let index = TokenIndex::build(&records, Format::Relational);
+            let query = record_tokens(&rec(&query.join(" ")), Format::Relational);
+            let skips = std::iter::once(None).chain((0..records.len() + 2).map(Some));
+            for skip in skips {
+                for min_overlap in [0, 1, 2, 5] {
+                    let (got, want) = (
+                        index.candidates(&query, min_overlap, skip),
+                        hash_map_candidates(&index, &query, min_overlap, skip),
+                    );
+                    proptest::prop_assert!(
+                        got == want,
+                        "records {words:?}, query {query:?}, min_overlap {min_overlap}, \
+                         skip {skip:?}: {got:?} != {want:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -731,7 +731,7 @@ impl Event {
                 id: f.u64("id")?,
                 name: f.str("name")?,
                 wall_us: f.u64("wall_us")?,
-                heap_delta: f.num("heap_delta")? as i64,
+                heap_delta: f.i64("heap_delta")?,
                 heap_peak: f.u64("heap_peak")?,
             },
             names::EV_EPOCH_SUMMARY => EventKind::EpochSummary {
@@ -782,7 +782,7 @@ impl Event {
                 lo: f.num("lo")?,
                 hi: f.num("hi")?,
                 mean: f.num("mean")?,
-                counts: f.nums("counts")?.iter().map(|&v| v as u64).collect(),
+                counts: f.u64s("counts")?,
             },
             names::EV_METRIC => EventKind::Metric {
                 name: f.str("name")?,
@@ -1442,6 +1442,56 @@ mod tests {
             Event::parse("{\"seq\":1,\"seed\":0,\"t_us\":0,\"span\":null,\"type\":\"nope\"}")
                 .is_err()
         );
+    }
+
+    #[test]
+    fn integer_fields_reject_negative_fractional_and_huge_numbers() {
+        let block = |c: &str| {
+            format!(r#"{{"seq":1,"seed":0,"t_us":0,"span":null,"type":"block","candidates":{c}}}"#)
+        };
+        for bad in ["-3", "3.7", "1e300"] {
+            let err = Event::parse(&block(bad)).expect_err(bad);
+            assert!(err.contains("'candidates'"), "{bad}: {err}");
+        }
+        let close = r#"{"seq":1,"seed":0,"t_us":0,"span":null,"type":"span_close","id":9,"name":"t","wall_us":1,"heap_delta":-7.9,"heap_peak":1}"#;
+        let err = Event::parse(close).expect_err("fractional heap_delta");
+        assert!(err.contains("'heap_delta'"), "{err}");
+        let hist = r#"{"seq":1,"seed":0,"t_us":0,"span":null,"type":"unc_hist","source":"s","lo":0,"hi":1,"mean":0.5,"counts":[1,-2]}"#;
+        let err = Event::parse(hist).expect_err("negative bucket count");
+        assert!(err.contains("'counts'"), "{err}");
+    }
+
+    #[test]
+    fn integer_extremes_read_back_as_themselves() {
+        for kind in [
+            EventKind::Block {
+                candidates: u64::MAX,
+            },
+            EventKind::SpanClose {
+                id: u64::MAX,
+                name: "t".into(),
+                wall_us: 0,
+                heap_delta: i64::MIN,
+                heap_peak: u64::MAX,
+            },
+            EventKind::SpanClose {
+                id: 0,
+                name: "t".into(),
+                wall_us: u64::MAX,
+                heap_delta: i64::MAX,
+                heap_peak: 0,
+            },
+        ] {
+            let e = Event {
+                seq: u64::MAX,
+                seed: u64::MAX,
+                t_us: 0,
+                span: Some(u64::MAX),
+                kind,
+            };
+            let line = e.to_json();
+            assert_eq!(Event::parse(&line).as_ref(), Ok(&e), "{line}");
+        }
     }
 
     #[test]

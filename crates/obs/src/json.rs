@@ -170,8 +170,9 @@ impl ObjectWriter {
 
 /// A parsed flat object with typed field access. Every accessor fails on
 /// a missing field or a value of the wrong type; the `opt_` ones also
-/// accept `null`. Numbers convert to integers with `as` (saturating,
-/// truncating toward zero). A repeated key reads its first value.
+/// accept `null`. The integer accessors take only whole numbers inside
+/// their type's range and name the field of any other number. A repeated
+/// key reads its first value.
 pub struct FlatObject(Vec<(String, JsonVal)>);
 
 impl FlatObject {
@@ -214,14 +215,26 @@ impl FlatObject {
         })
     }
 
-    /// A number, as `u64`.
+    /// A whole number in `0..=2⁶⁴`, as `u64`.
     pub fn u64(&self, key: &str) -> Result<u64, String> {
-        Ok(self.num(key)? as u64)
+        to_u64(key, self.num(key)?)
     }
 
-    /// A number or `null`, as `u64`.
+    /// A whole number in `0..=2⁶⁴` or `null`, as `u64`.
     pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        Ok(self.opt_num(key)?.map(|n| n as u64))
+        self.opt_num(key)?.map(|n| to_u64(key, n)).transpose()
+    }
+
+    /// An array of whole numbers in `0..=2⁶⁴`, as `u64`s.
+    pub fn u64s(&self, key: &str) -> Result<Vec<u64>, String> {
+        self.nums(key)?.iter().map(|&n| to_u64(key, n)).collect()
+    }
+
+    /// A whole number in `-2⁶³..=2⁶³`, as `i64`.
+    pub fn i64(&self, key: &str) -> Result<i64, String> {
+        let n = self.num(key)?;
+        whole(key, n, "an i64", i64::MIN as f64, i64::MAX as f64)?;
+        Ok(n as i64)
     }
 
     /// A string.
@@ -253,6 +266,24 @@ impl FlatObject {
             JsonVal::Arr(vs) => Some(vs.as_slice()),
             _ => None,
         })
+    }
+}
+
+/// `n` as `u64`, when it is a whole number in `0..=2⁶⁴`.
+fn to_u64(key: &str, n: f64) -> Result<u64, String> {
+    whole(key, n, "a u64", 0.0, u64::MAX as f64)?;
+    Ok(n as u64)
+}
+
+/// Fails, naming `key`, unless `n` is a whole number in `lo..=hi`. The
+/// bounds are an integer type's `MIN` and `MAX` as `f64`, which rounds
+/// `MAX` up to the next power of two: the number that `MAX` written out in
+/// decimal parses to, and that `as` casts back to `MAX`.
+fn whole(key: &str, n: f64, want: &str, lo: f64, hi: f64) -> Result<(), String> {
+    if n.fract() == 0.0 && (lo..=hi).contains(&n) {
+        Ok(())
+    } else {
+        Err(format!("field '{key}' is not {want}: {n}"))
     }
 }
 

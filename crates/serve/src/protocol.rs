@@ -490,6 +490,27 @@ mod tests {
     }
 
     #[test]
+    fn deadline_must_be_a_whole_number_of_ms() {
+        let with = |d: &str| {
+            format!(r#"{{"op":"match","id":"x","left":[1],"right":[2],"deadline_ms":{d}}}"#)
+        };
+        for bad in ["-5", "2.5", "1e300"] {
+            let err = Request::parse(&with(bad)).expect_err(bad);
+            assert!(err.contains("'deadline_ms'"), "{bad}: {err}");
+        }
+        for (d, want) in [
+            ("0", Some(0)),
+            ("null", None),
+            ("18446744073709551615", Some(u64::MAX)),
+        ] {
+            match Request::parse(&with(d)) {
+                Ok(Request::Match { deadline_ms, .. }) => assert_eq!(deadline_ms, want, "{d}"),
+                other => panic!("{d}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn line_id_recovers_when_possible() {
         assert_eq!(line_id("{\"op\":\"nope\",\"id\":\"x7\"}"), "x7");
         assert_eq!(line_id("garbage"), "");

@@ -200,22 +200,26 @@ for ev in request reject worker_restart drain; do
     }
 done
 
-echo "==> benchmark (perfbench builds, unit tests, serve_open smoke passes its own checks)"
+echo "==> benchmark (perfbench builds, unit tests, serve_open and bulk_match smokes pass their own checks)"
 # perfbench is a separate cargo workspace over the public APIs, so the
-# workspace build above never compiles it. The smoke run re-verifies that
-# served probabilities equal offline match_batch and one-at-a-time
-# decisions equal batched ones, bit for bit.
+# workspace build above never compiles it. The serve_open smoke
+# re-verifies that served probabilities equal offline match_batch and
+# one-at-a-time decisions equal batched ones, bit for bit; the bulk_match
+# smoke runs ingest -> block -> codec -> match_batch over two whole
+# tables and re-decides a sample of its candidates one at a time.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
-bench_json="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload serve_open --seed 1 --seconds 1 --trace 0 | tail -n1)"
-for want in '"correct":true' '"failed":0,'; do
-    case "$bench_json" in
-        *"$want"*) ;;
-        *)
-            echo "perfbench: serve_open smoke result lacks $want: $bench_json" >&2
-            exit 1
-            ;;
-    esac
+for workload in serve_open bulk_match; do
+    bench_json="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n1)"
+    for want in '"correct":true' '"failed":0,'; do
+        case "$bench_json" in
+            *"$want"*) ;;
+            *)
+                echo "perfbench: $workload smoke result lacks $want: $bench_json" >&2
+                exit 1
+                ;;
+        esac
+    done
 done
 
 echo "ci: all checks passed"

@@ -91,7 +91,7 @@ impl TunableMatcher for StubMatcher {
                 let h = p
                     .ids_a
                     .iter()
-                    .chain(&p.ids_b)
+                    .chain(p.ids_b.iter())
                     .fold(7usize, |a, &b| a.wrapping_mul(31) ^ b);
                 (h % 100) as f32 / 100.0
             })
@@ -116,8 +116,8 @@ fn lst_is_trait_generic() {
     let train: Vec<Example> = (0..10)
         .map(|i| Example {
             pair: EncodedPair {
-                ids_a: vec![i],
-                ids_b: vec![i * 2],
+                ids_a: vec![i].into(),
+                ids_b: vec![i * 2].into(),
             },
             label: i % 2 == 0,
         })
@@ -125,8 +125,8 @@ fn lst_is_trait_generic() {
     let valid = train.clone();
     let unlabeled: Vec<EncodedPair> = (10..30)
         .map(|i| EncodedPair {
-            ids_a: vec![i],
-            ids_b: vec![i + 1],
+            ids_a: vec![i].into(),
+            ids_b: vec![i + 1].into(),
         })
         .collect();
     let proto = StubMatcher {
@@ -146,16 +146,16 @@ fn multi_iteration_lst_consumes_more_of_the_pool() {
     let train: Vec<Example> = (0..10)
         .map(|i| Example {
             pair: EncodedPair {
-                ids_a: vec![i],
-                ids_b: vec![i],
+                ids_a: vec![i].into(),
+                ids_b: vec![i].into(),
             },
             label: i % 2 == 0,
         })
         .collect();
     let unlabeled: Vec<EncodedPair> = (10..50)
         .map(|i| EncodedPair {
-            ids_a: vec![i],
-            ids_b: vec![i],
+            ids_a: vec![i].into(),
+            ids_b: vec![i].into(),
         })
         .collect();
     let mut cfg = tiny_lst();
