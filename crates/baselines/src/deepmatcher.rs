@@ -7,10 +7,9 @@
 
 use crate::common::{MatchTask, Matcher};
 use em_nn::layers::{BiLstm, Embedding, Mlp};
-use em_nn::{AdamW, ParamStore, Tape, TapeExec, Var};
+use em_nn::{NoGradTape, ParamStore, Tape, TapeExec, Var};
 use promptem::encode::{EncodedPair, Example};
-use promptem::model::run_training;
-use promptem::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
+use promptem::trainer::{run_training, PruneCfg, TapeModel, TrainCfg, TrainReport, TunableMatcher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,7 +45,7 @@ impl DeepMatcherModel {
         }
     }
 
-    fn encode_side(&mut self, tape: &mut Tape, ids: &[usize]) -> Var {
+    fn encode_side(&self, tape: &mut impl TapeExec, ids: &[usize]) -> Var {
         let ids = if ids.is_empty() {
             &[em_lm::tokenizer::UNK][..]
         } else {
@@ -57,12 +56,11 @@ impl DeepMatcherModel {
         tape.mean_rows(h)
     }
 
-    fn forward_logits(&mut self, tape: &mut Tape, pairs: &[&EncodedPair]) -> Var {
+    fn forward_logits(&self, tape: &mut impl TapeExec, pairs: &[&EncodedPair]) -> Var {
         let mut rows = Vec::with_capacity(pairs.len());
         for p in pairs {
-            let (ids_a, ids_b) = (p.ids_a.clone(), p.ids_b.clone());
-            let u = self.encode_side(tape, &ids_a);
-            let v = self.encode_side(tape, &ids_b);
+            let u = self.encode_side(tape, &p.ids_a);
+            let v = self.encode_side(tape, &p.ids_b);
             let diff = tape.sub(u, v);
             let neg = tape.scale(diff, -1.0);
             let r1 = tape.relu(diff);
@@ -75,26 +73,24 @@ impl DeepMatcherModel {
         self.head.forward(tape, &self.store, features)
     }
 
-    fn forward_probs(&mut self, tape: &mut Tape, pairs: &[&EncodedPair]) -> Vec<f32> {
+    fn forward_probs(&self, tape: &mut impl TapeExec, pairs: &[&EncodedPair]) -> Vec<f32> {
         let logits = self.forward_logits(tape, pairs);
         let probs = tape.softmax_rows(logits);
         let pm = tape.value(probs);
         (0..pm.rows()).map(|r| pm.get(r, 0)).collect()
     }
+}
 
-    fn batch_step(&mut self, batch: &[&Example], opt: &mut AdamW) -> f32 {
-        self.store.zero_grads();
-        let mut tape = Tape::new();
+impl TapeModel for DeepMatcherModel {
+    fn params(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn loss(&mut self, tape: &mut Tape, batch: &[&Example]) -> Var {
         let pairs: Vec<&EncodedPair> = batch.iter().map(|e| &e.pair).collect();
-        let logits = self.forward_logits(&mut tape, &pairs);
+        let logits = self.forward_logits(tape, &pairs);
         let targets: Vec<usize> = batch.iter().map(|e| usize::from(!e.label)).collect();
-        let loss = tape.cross_entropy(logits, &targets);
-        let value = tape.value(loss).item();
-        tape.backward(loss);
-        tape.accumulate_param_grads(&mut self.store);
-        self.store.clip_grad_norm(1.0);
-        opt.step(&mut self.store);
-        value
+        tape.cross_entropy(logits, &targets)
     }
 }
 
@@ -110,23 +106,14 @@ impl TunableMatcher for DeepMatcherModel {
         cfg: &TrainCfg,
         prune: Option<&PruneCfg>,
     ) -> TrainReport {
-        run_training(
-            self,
-            &mut |m, b, o| m.batch_step(b, o),
-            &mut |m| m.store.clone(),
-            &mut |m, s: ParamStore| m.store = s,
-            train,
-            valid,
-            cfg,
-            prune,
-        )
+        run_training(self, train, valid, cfg, prune)
     }
 
     fn predict_proba(&mut self, pairs: &[EncodedPair]) -> Vec<f32> {
         let mut out = Vec::with_capacity(pairs.len());
         for chunk in pairs.chunks(32) {
             let refs: Vec<&EncodedPair> = chunk.iter().collect();
-            let mut tape = Tape::inference();
+            let mut tape = NoGradTape::inference();
             out.extend(self.forward_probs(&mut tape, &refs));
         }
         out
@@ -147,10 +134,9 @@ impl TunableMatcher for DeepMatcherModel {
     fn embed(&mut self, pairs: &[EncodedPair]) -> Vec<Vec<f32>> {
         let mut out = Vec::with_capacity(pairs.len());
         for p in pairs {
-            let (ids_a, ids_b) = (p.ids_a.clone(), p.ids_b.clone());
-            let mut tape = Tape::inference();
-            let u = self.encode_side(&mut tape, &ids_a);
-            let v = self.encode_side(&mut tape, &ids_b);
+            let mut tape = NoGradTape::inference();
+            let u = self.encode_side(&mut tape, &p.ids_a);
+            let v = self.encode_side(&mut tape, &p.ids_b);
             let uv = tape.concat_cols(&[u, v]);
             out.push(tape.value(uv).row(0).to_vec());
         }
@@ -220,6 +206,27 @@ mod tests {
         );
         let (scores, _) = crate::common::evaluate_matcher(&mut m, &task);
         assert!(scores.f1 >= 0.0);
+    }
+
+    #[test]
+    fn scoring_records_no_tape_nodes_and_keeps_the_taped_bits() {
+        let mut m = DeepMatcherModel::new(50, 16, 5);
+        let pairs: Vec<EncodedPair> = (0..5)
+            .map(|i| EncodedPair {
+                ids_a: vec![10 + i, 11].into(),
+                ids_b: vec![12, 13 + i, 14].into(),
+            })
+            .collect();
+        let refs: Vec<&EncodedPair> = pairs.iter().collect();
+        let taped = m.forward_probs(&mut Tape::inference(), &refs);
+        let before = em_nn::tape::nodes_recorded_on_thread();
+        let probs = m.predict_proba(&pairs);
+        m.stochastic_proba(&pairs, 2);
+        m.embed(&pairs);
+        let recorded = em_nn::tape::nodes_recorded_on_thread() - before;
+        assert_eq!(recorded, 0, "scoring recorded tape nodes");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&probs), bits(&taped));
     }
 
     #[test]

@@ -7,10 +7,9 @@ use crate::common::{MatchTask, Matcher};
 use em_lm::tokenizer::{CLS, SEP};
 use em_lm::PretrainedLm;
 use em_nn::layers::Mlp;
-use em_nn::{AdamW, ParamStore, Tape, TapeExec, Var};
+use em_nn::{NoGradTape, ParamStore, Tape, TapeExec, Var};
 use promptem::encode::{EncodedPair, Example};
-use promptem::model::run_training;
-use promptem::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
+use promptem::trainer::{run_training, PruneCfg, TapeModel, TrainCfg, TrainReport, TunableMatcher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -43,7 +42,7 @@ impl SBertModel {
 
     /// Mean-pooled embedding of one side: `[CLS] side [SEP]` → mean of
     /// hidden rows (SBERT's pooling).
-    fn encode_side(&mut self, tape: &mut Tape, ids: &[usize]) -> Var {
+    fn encode_side(&mut self, tape: &mut impl TapeExec, ids: &[usize]) -> Var {
         let mut framed = Vec::with_capacity(ids.len() + 2);
         framed.push(CLS);
         framed.extend_from_slice(&ids[..ids.len().min(self.lm.max_len() - 2)]);
@@ -55,7 +54,7 @@ impl SBertModel {
         tape.mean_rows(h)
     }
 
-    fn forward_logits(&mut self, tape: &mut Tape, pairs: &[&EncodedPair]) -> Var {
+    fn forward_logits(&mut self, tape: &mut impl TapeExec, pairs: &[&EncodedPair]) -> Var {
         let mut rows = Vec::with_capacity(pairs.len());
         for p in pairs {
             let u = self.encode_side(tape, &p.ids_a);
@@ -75,26 +74,24 @@ impl SBertModel {
         self.head.forward(tape, &self.lm.store, features)
     }
 
-    fn forward_probs(&mut self, tape: &mut Tape, pairs: &[&EncodedPair]) -> Vec<f32> {
+    fn forward_probs(&mut self, tape: &mut impl TapeExec, pairs: &[&EncodedPair]) -> Vec<f32> {
         let logits = self.forward_logits(tape, pairs);
         let probs = tape.softmax_rows(logits);
         let pm = tape.value(probs);
         (0..pm.rows()).map(|r| pm.get(r, 0)).collect()
     }
+}
 
-    fn batch_step(&mut self, batch: &[&Example], opt: &mut AdamW) -> f32 {
-        self.lm.store.zero_grads();
-        let mut tape = Tape::new();
+impl TapeModel for SBertModel {
+    fn params(&mut self) -> &mut ParamStore {
+        &mut self.lm.store
+    }
+
+    fn loss(&mut self, tape: &mut Tape, batch: &[&Example]) -> Var {
         let pairs: Vec<&EncodedPair> = batch.iter().map(|e| &e.pair).collect();
-        let logits = self.forward_logits(&mut tape, &pairs);
+        let logits = self.forward_logits(tape, &pairs);
         let targets: Vec<usize> = batch.iter().map(|e| usize::from(!e.label)).collect();
-        let loss = tape.cross_entropy(logits, &targets);
-        let value = tape.value(loss).item();
-        tape.backward(loss);
-        tape.accumulate_param_grads(&mut self.lm.store);
-        self.lm.store.clip_grad_norm(1.0);
-        opt.step(&mut self.lm.store);
-        value
+        tape.cross_entropy(logits, &targets)
     }
 }
 
@@ -110,23 +107,14 @@ impl TunableMatcher for SBertModel {
         cfg: &TrainCfg,
         prune: Option<&PruneCfg>,
     ) -> TrainReport {
-        run_training(
-            self,
-            &mut |m, b, o| m.batch_step(b, o),
-            &mut |m| m.lm.store.clone(),
-            &mut |m, s: ParamStore| m.lm.store = s,
-            train,
-            valid,
-            cfg,
-            prune,
-        )
+        run_training(self, train, valid, cfg, prune)
     }
 
     fn predict_proba(&mut self, pairs: &[EncodedPair]) -> Vec<f32> {
         let mut out = Vec::with_capacity(pairs.len());
         for chunk in pairs.chunks(32) {
             let refs: Vec<&EncodedPair> = chunk.iter().collect();
-            let mut tape = Tape::inference();
+            let mut tape = NoGradTape::inference();
             out.extend(self.forward_probs(&mut tape, &refs));
         }
         out
@@ -137,7 +125,7 @@ impl TunableMatcher for SBertModel {
             let mut out = Vec::with_capacity(pairs.len());
             for chunk in pairs.chunks(32) {
                 let refs: Vec<&EncodedPair> = chunk.iter().collect();
-                let mut tape = Tape::new();
+                let mut tape = NoGradTape::new(); // dropout active, zero tape nodes
                 out.extend(self.forward_probs(&mut tape, &refs));
             }
             out
@@ -155,7 +143,7 @@ impl TunableMatcher for SBertModel {
     fn embed(&mut self, pairs: &[EncodedPair]) -> Vec<Vec<f32>> {
         let mut out = Vec::with_capacity(pairs.len());
         for p in pairs {
-            let mut tape = Tape::inference();
+            let mut tape = NoGradTape::inference();
             let u = self.encode_side(&mut tape, &p.ids_a);
             let v = self.encode_side(&mut tape, &p.ids_b);
             let uv = tape.concat_cols(&[u, v]);
@@ -215,6 +203,28 @@ mod tests {
         let mut tape = Tape::inference();
         let u = m.encode_side(&mut tape, &p.ids_a);
         assert_eq!(tape.value(u).shape(), (1, d));
+    }
+
+    #[test]
+    fn scoring_records_no_tape_nodes_and_keeps_the_taped_bits() {
+        let (_, encoded, backbone) = toy_task();
+        let mut m = SBertModel::new(backbone, 7);
+        let pairs: Vec<EncodedPair> = encoded
+            .train
+            .iter()
+            .take(5)
+            .map(|e| e.pair.clone())
+            .collect();
+        let refs: Vec<&EncodedPair> = pairs.iter().collect();
+        let taped = m.forward_probs(&mut Tape::inference(), &refs);
+        let before = em_nn::tape::nodes_recorded_on_thread();
+        let probs = m.predict_proba(&pairs);
+        m.stochastic_proba(&pairs, 2);
+        m.embed(&pairs);
+        let recorded = em_nn::tape::nodes_recorded_on_thread() - before;
+        assert_eq!(recorded, 0, "scoring recorded tape nodes");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&probs), bits(&taped));
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! [`crate::model::PromptEmModel`].
 
 use crate::encode::{EncodedPair, Example};
-use crate::model::run_training;
-use crate::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
+use crate::trainer::{run_training, PruneCfg, TapeModel, TrainCfg, TrainReport, TunableMatcher};
 use em_lm::prompt::split_budget;
 use em_lm::tokenizer::{CLS, SEP};
 use em_lm::{ClsHead, PretrainedLm};
-use em_nn::{AdamW, NoGradTape, ParamStore, Tape, TapeExec, Var};
+use em_nn::{NoGradTape, ParamStore, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -27,10 +26,6 @@ pub struct FineTuneModel {
     pub head: ClsHead,
     threshold: f32,
     rng: StdRng,
-    /// One-shot graph audit on the first training step (every step when
-    /// the sanitizer is on): the fresh head is exactly the "bolted on
-    /// but never wired to the loss" risk the auditor exists for.
-    audit_pending: bool,
 }
 
 impl FineTuneModel {
@@ -45,7 +40,6 @@ impl FineTuneModel {
             head,
             threshold: 0.5,
             rng,
-            audit_pending: true,
         }
     }
 
@@ -83,28 +77,18 @@ impl FineTuneModel {
         let pm = tape.value(probs);
         (0..pm.rows()).map(|r| pm.get(r, 0)).collect()
     }
+}
 
-    fn batch_step(&mut self, batch: &[&Example], opt: &mut AdamW) -> f32 {
-        self.lm.store.zero_grads();
-        let mut tape = Tape::new();
+impl TapeModel for FineTuneModel {
+    fn params(&mut self) -> &mut ParamStore {
+        &mut self.lm.store
+    }
+
+    fn loss(&mut self, tape: &mut Tape, batch: &[&Example]) -> Var {
         let pairs: Vec<&EncodedPair> = batch.iter().map(|e| &e.pair).collect();
-        let logits = self.forward_logits(&mut tape, &pairs);
+        let logits = self.forward_logits(tape, &pairs);
         let targets: Vec<usize> = batch.iter().map(|e| usize::from(!e.label)).collect();
-        let loss = tape.cross_entropy(logits, &targets);
-        if std::mem::take(&mut self.audit_pending) || em_nn::tape::sanitize_enabled() {
-            em_check::audit_and_report(&tape, loss, &self.lm.store);
-        }
-        let value = tape.value(loss).item();
-        if !value.is_finite() {
-            // A poisoned batch must not propagate NaNs into the weights;
-            // the epoch loop records it and skips the update.
-            return value;
-        }
-        tape.backward(loss);
-        tape.accumulate_param_grads(&mut self.lm.store);
-        self.lm.store.clip_grad_norm(1.0);
-        opt.step(&mut self.lm.store);
-        value
+        tape.cross_entropy(logits, &targets)
     }
 }
 
@@ -120,16 +104,7 @@ impl TunableMatcher for FineTuneModel {
         cfg: &TrainCfg,
         prune: Option<&PruneCfg>,
     ) -> TrainReport {
-        run_training(
-            self,
-            &mut |m, b, o| m.batch_step(b, o),
-            &mut |m| m.lm.store.clone(),
-            &mut |m, s: ParamStore| m.lm.store = s,
-            train,
-            valid,
-            cfg,
-            prune,
-        )
+        run_training(self, train, valid, cfg, prune)
     }
 
     fn predict_proba(&mut self, pairs: &[EncodedPair]) -> Vec<f32> {

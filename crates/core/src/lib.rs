@@ -44,7 +44,7 @@ pub use calibration::{brier_score, expected_calibration_error};
 pub use encode::{EncodeCfg, EncodedDataset, EncodedPair, Example, PairCodec};
 pub use explain::{attribute_importance, AttributeImportance};
 pub use finetune::FineTuneModel;
-pub use model::{run_training, PromptEmModel, PromptOpts};
+pub use model::{PromptEmModel, PromptOpts};
 pub use pipeline::{
     run, run_trained, run_with_backbone, MatchDecision, PromptEmConfig, RunResult, TrainedMatcher,
     TrainedRun,
@@ -52,4 +52,4 @@ pub use pipeline::{
 pub use pseudo::{PseudoCfg, SelectionStrategy};
 pub use resume::MatcherState;
 pub use selftrain::{lightweight_self_train, lightweight_self_train_with, LstCfg, LstReport};
-pub use trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
+pub use trainer::{run_training, PruneCfg, TapeModel, TrainCfg, TrainReport, TunableMatcher};

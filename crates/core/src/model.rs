@@ -5,13 +5,12 @@
 //! (Eq. 1) — no freshly-initialized task head anywhere.
 
 use crate::encode::{EncodedPair, Example};
-use crate::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
+use crate::trainer::{run_training, PruneCfg, TapeModel, TrainCfg, TrainReport, TunableMatcher};
 use em_lm::heads::MlmHead;
 use em_lm::prompt::{LabelWords, PromptMode, PromptTemplate, TemplateId, Verbalizer};
 use em_lm::PretrainedLm;
-use em_nn::{AdamW, Matrix, NoGradTape, ParamStore, Tape, TapeExec};
+use em_nn::{Matrix, NoGradTape, ParamStore, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
@@ -139,10 +138,6 @@ pub struct PromptEmModel {
     opts: PromptOpts,
     threshold: f32,
     rng: StdRng,
-    /// One-shot graph audit on the first training step (every step when
-    /// the sanitizer is on): catches detached prompt/head parameters
-    /// before a whole run trains on a broken graph.
-    audit_pending: bool,
 }
 
 impl PromptEmModel {
@@ -177,7 +172,6 @@ impl PromptEmModel {
             opts,
             threshold: 0.5,
             rng,
-            audit_pending: true,
         }
     }
 
@@ -207,10 +201,14 @@ impl PromptEmModel {
             })
             .sum()
     }
+}
 
-    fn batch_step(&mut self, batch: &[&Example], opt: &mut AdamW) -> f32 {
-        self.lm.store.zero_grads();
-        let mut tape = Tape::new();
+impl TapeModel for PromptEmModel {
+    fn params(&mut self) -> &mut ParamStore {
+        &mut self.lm.store
+    }
+
+    fn loss(&mut self, tape: &mut Tape, batch: &[&Example]) -> Var {
         let mut rows = Vec::with_capacity(batch.len());
         let mut targets = Vec::with_capacity(batch.len());
         // One tape segment per example, so the backward runs them on the
@@ -235,185 +233,10 @@ impl PromptEmModel {
         let logits = self
             .lm
             .mlm
-            .logits(&mut tape, &self.lm.store, &self.lm.encoder, stacked);
-        let probs = self.verbalizer.class_probs(&mut tape, logits);
-        let loss = tape.nll_probs(probs, &targets);
-        if std::mem::take(&mut self.audit_pending) || em_nn::tape::sanitize_enabled() {
-            em_check::audit_and_report(&tape, loss, &self.lm.store);
-        }
-        let value = tape.value(loss).item();
-        if !value.is_finite() {
-            // A poisoned batch must not propagate NaNs into the weights;
-            // the epoch loop records it and skips the update.
-            return value;
-        }
-        tape.backward(loss);
-        tape.accumulate_param_grads(&mut self.lm.store);
-        self.lm.store.clip_grad_norm(1.0);
-        opt.step(&mut self.lm.store);
-        value
+            .logits(tape, &self.lm.store, &self.lm.encoder, stacked);
+        let probs = self.verbalizer.class_probs(tape, logits);
+        tape.nll_probs(probs, &targets)
     }
-
-    fn snapshot(&self) -> ParamStore {
-        self.lm.store.clone()
-    }
-
-    fn restore(&mut self, store: ParamStore) {
-        self.lm.store = store;
-    }
-}
-
-/// Shared epoch loop used by both PromptEM and the fine-tuning model; kept
-/// free-standing so the two implementations cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-pub fn run_training<M: TunableMatcher>(
-    model: &mut M,
-    batch_step: &mut dyn FnMut(&mut M, &[&Example], &mut AdamW) -> f32,
-    snapshot: &mut dyn FnMut(&M) -> ParamStore,
-    restore: &mut dyn FnMut(&mut M, ParamStore),
-    train: &[Example],
-    valid: &[Example],
-    cfg: &TrainCfg,
-    prune: Option<&PruneCfg>,
-) -> TrainReport {
-    use em_resilience::{MAX_BAD_BATCH_RESTORES, MAX_CONSECUTIVE_BAD_BATCHES};
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA5A5);
-    let mut working: Vec<Example> = train.to_vec();
-    let mut opt = AdamW::new(cfg.lr);
-    let mut best_f1 = -1.0f64;
-    let mut best_store: Option<(ParamStore, f32)> = None;
-    let mut report = TrainReport::default();
-    let mut consecutive_bad = 0u32;
-    let mut restores_used = 0u32;
-    let valid_pairs: Vec<crate::encode::EncodedPair> =
-        valid.iter().map(|e| e.pair.clone()).collect();
-    let valid_gold: Vec<bool> = valid.iter().map(|e| e.label).collect();
-
-    // Total ticks are unknown until the first epoch reveals the chunk
-    // count (balancing and pruning change it); re-estimated per epoch.
-    let mut hb = em_obs::heartbeat("tune", 0);
-    'epochs: for epoch in 0..cfg.epochs {
-        let epoch_watch = em_obs::Stopwatch::if_enabled();
-        working.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        let mut batches = 0;
-        // Class-balanced epoch pool: oversample positives so the tiny model
-        // does not collapse onto the majority class (see TrainCfg::balance).
-        let mut refs: Vec<&Example> = working.iter().collect();
-        if cfg.balance {
-            let pos: Vec<&Example> = working.iter().filter(|e| e.label).collect();
-            let neg = working.len() - pos.len();
-            if !pos.is_empty() && neg > pos.len() {
-                let extra_total = neg - pos.len();
-                for k in 0..extra_total {
-                    refs.push(pos[k % pos.len()]);
-                }
-                refs.shuffle(&mut rng);
-            }
-        }
-        if let Some(hb) = hb.as_mut() {
-            let chunks = refs.len().div_ceil(cfg.batch_size) as u64;
-            hb.set_total(report.batches_run as u64 + chunks * (cfg.epochs - epoch) as u64);
-        }
-        for batch in refs.chunks(cfg.batch_size) {
-            let inject_nan = matches!(
-                em_resilience::failpoint::trigger_in_batch("batch"),
-                Some(em_resilience::failpoint::Action::Nan)
-            );
-            let mut loss = batch_step(model, batch, &mut opt);
-            if inject_nan {
-                loss = f32::NAN;
-            }
-            if !loss.is_finite() {
-                // The models skip backward/step on a non-finite loss, so
-                // the weights are still the last healthy ones; record the
-                // recovery and move on without counting the batch.
-                consecutive_bad += 1;
-                em_obs::recovered_batch("tune", report.batches_run as u64, consecutive_bad as u64);
-                if consecutive_bad >= MAX_CONSECUTIVE_BAD_BATCHES {
-                    match &best_store {
-                        Some((store, t)) if restores_used < MAX_BAD_BATCH_RESTORES => {
-                            restore(model, store.clone());
-                            model.set_threshold(*t);
-                            restores_used += 1;
-                            consecutive_bad = 0;
-                            em_obs::warn(format!(
-                                "{MAX_CONSECUTIVE_BAD_BATCHES} consecutive non-finite \
-                                 losses; restored best-on-valid weights (epoch {epoch})"
-                            ));
-                        }
-                        _ => {
-                            em_obs::warn(format!(
-                                "persistent non-finite losses (epoch {epoch}); \
-                                 stopping this training early"
-                            ));
-                            break 'epochs;
-                        }
-                    }
-                }
-                continue;
-            }
-            consecutive_bad = 0;
-            epoch_loss += loss;
-            batches += 1;
-            report.batches_run += 1;
-            if let Some(hb) = hb.as_mut() {
-                hb.tick(batch.len() as u64, Some(loss as f64));
-            }
-        }
-        report.final_train_loss = if batches > 0 {
-            epoch_loss / batches as f32
-        } else {
-            0.0
-        };
-        report.epochs_run += 1;
-
-        let mut epoch_valid = None;
-        if cfg.best_on_valid && !valid.is_empty() {
-            // Calibrate the decision threshold on the validation set, then
-            // track the best (weights, threshold) pair by validation F1.
-            let probs = model.predict_proba(&valid_pairs);
-            let t = crate::trainer::calibrate_threshold(&probs, &valid_gold);
-            let pred: Vec<bool> = probs.iter().map(|&p| p > t).collect();
-            let f1 = 100.0 * em_data::Confusion::from_pairs(&pred, &valid_gold).f1();
-            epoch_valid = Some((f1, t));
-            if f1 > best_f1 {
-                best_f1 = f1;
-                best_store = Some((snapshot(model), t));
-            }
-        }
-        em_obs::epoch_summary(
-            epoch as u64,
-            report.final_train_loss as f64,
-            epoch_valid.map(|(f1, _)| f1),
-            epoch_valid.map(|(_, t)| t as f64),
-            refs.len() as u64,
-            batches as u64,
-            epoch_watch.map_or(0, |w| w.micros()),
-        );
-
-        // Dynamic data pruning (§4.3): "We prune the train set for every
-        // [frequency] epochs".
-        if let Some(p) = prune {
-            let is_prune_epoch = (epoch + 1) % p.every == 0 && epoch + 1 < cfg.epochs;
-            if is_prune_epoch && working.len() > cfg.batch_size {
-                let scores = crate::pruning::mc_el2n(model, &working, p.passes);
-                let (kept, dropped) = crate::pruning::prune_lowest(working, &scores, p.e_r);
-                working = kept;
-                report.pruned += dropped;
-                em_obs::prune(dropped as u64, p.passes as u64);
-            }
-        }
-    }
-    if let Some((store, t)) = best_store {
-        restore(model, store);
-        model.set_threshold(t);
-        report.best_valid_f1 = best_f1;
-    } else if !valid.is_empty() {
-        report.best_valid_f1 = crate::trainer::evaluate(model, valid).f1;
-    }
-    report
 }
 
 impl TunableMatcher for PromptEmModel {
@@ -428,16 +251,7 @@ impl TunableMatcher for PromptEmModel {
         cfg: &TrainCfg,
         prune: Option<&PruneCfg>,
     ) -> TrainReport {
-        run_training(
-            self,
-            &mut |m, b, o| m.batch_step(b, o),
-            &mut |m| m.snapshot(),
-            &mut |m, s| m.restore(s),
-            train,
-            valid,
-            cfg,
-            prune,
-        )
+        run_training(self, train, valid, cfg, prune)
     }
 
     fn predict_proba(&mut self, pairs: &[EncodedPair]) -> Vec<f32> {
@@ -571,6 +385,8 @@ impl TunableMatcher for PromptEmModel {
 mod tests {
     use super::*;
     use crate::testutil::{tiny_backbone, toy_examples};
+    use crate::trainer::train_step;
+    use em_nn::AdamW;
 
     #[test]
     fn model_learns_toy_task() {
@@ -750,7 +566,7 @@ mod tests {
         assert_eq!(rng1, rng3, "model RNG ended in different states");
     }
 
-    /// The full training step `batch_step` must equal, written out from
+    /// The full training step `train_step` must equal, written out from
     /// public ops: the full template forward with its `[MASK]` row sliced
     /// out, the tied decoder transposed on the tape, and Eq. 1 as the
     /// dense `(V, 2)` projection.
@@ -872,7 +688,7 @@ mod tests {
             let (mut opt, mut opt_full) = (AdamW::new(1e-3), AdamW::new(1e-3));
             for (step, batch) in batches.iter().enumerate() {
                 let batch: Vec<&Example> = batch.iter().collect();
-                let loss = model.batch_step(&batch, &mut opt);
+                let loss = train_step(&mut model, &batch, &mut opt, step == 0);
                 let want = full_batch_step(&mut full, &batch, &mut opt_full);
                 let at = format!("{template:?}/{mode:?}, {threads} threads, step {step}");
                 assert_eq!(loss.to_bits(), want.to_bits(), "loss, {at}");

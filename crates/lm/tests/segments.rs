@@ -22,8 +22,9 @@ fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// A prompt-tuning batch step's forward and backward, the way
-/// `PromptEmModel::batch_step` records it, with or without one segment per
-/// example. Returns the bits of every accumulated parameter gradient.
+/// `PromptEmModel`'s loss and `promptem::trainer::train_step` record it,
+/// with or without one segment per example. Returns the bits of every
+/// accumulated parameter gradient.
 fn batch_grads(segmented: bool) -> Vec<Vec<u32>> {
     let tok = Tokenizer::fit(
         ["alpha beta gamma delta they are is to matched similar relevant mismatched different irrelevant"],

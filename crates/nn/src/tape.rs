@@ -1029,14 +1029,15 @@ impl Tape {
     }
 
     /// Mean cross-entropy of row-wise softmax(logits) against integer
-    /// `targets`. Returns a scalar var.
+    /// `targets`. Returns a scalar var. Each probability is floored at 1e-12
+    /// by `clamp`, which keeps a NaN where `max` would drop it.
     pub fn cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Var {
         let prof = OpTimer::start();
         self.check_targets("cross_entropy", logits, targets);
         let probs = self.nodes[logits.0].value.softmax_rows();
         let mut loss = 0.0f32;
         for (r, &t) in targets.iter().enumerate() {
-            loss -= probs.get(r, t).max(1e-12).ln();
+            loss -= probs.get(r, t).clamp(1e-12, f32::INFINITY).ln();
         }
         loss /= targets.len() as f32;
         self.record(prof, Matrix::scalar(loss), || Op::CrossEntropy {
@@ -1047,14 +1048,15 @@ impl Tape {
     }
 
     /// Mean negative log likelihood of already-normalized probabilities:
-    /// `-(1/n) Σ log probs[r][targets[r]]`. Scalar var.
+    /// `-(1/n) Σ log probs[r][targets[r]]`. Scalar var. Floors each
+    /// probability like [`Tape::cross_entropy`].
     pub fn nll_probs(&mut self, probs: Var, targets: &[usize]) -> Var {
         let prof = OpTimer::start();
         self.check_targets("nll_probs", probs, targets);
         let pm = &self.nodes[probs.0].value;
         let mut loss = 0.0f32;
         for (r, &t) in targets.iter().enumerate() {
-            loss -= pm.get(r, t).max(1e-12).ln();
+            loss -= pm.get(r, t).clamp(1e-12, f32::INFINITY).ln();
         }
         loss /= targets.len() as f32;
         self.record(prof, Matrix::scalar(loss), || Op::NllProbs {
@@ -1477,7 +1479,7 @@ fn backprop(
             let gs = g.item() / targets.len() as f32;
             let mut da = Matrix::zeros(pm.rows(), pm.cols());
             for (r, &t) in targets.iter().enumerate() {
-                da.set(r, t, -gs / pm.get(r, t).max(1e-12));
+                da.set(r, t, -gs / pm.get(r, t).clamp(1e-12, f32::INFINITY));
             }
             emit(*probs, da.into());
         }

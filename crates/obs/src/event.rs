@@ -1463,7 +1463,9 @@ mod tests {
 
     #[test]
     fn integer_extremes_read_back_as_themselves() {
-        for kind in [
+        // An `f64` rounds these to 2⁶⁴, 2⁶⁴ and 2⁵³.
+        let extremes = [u64::MAX, u64::MAX - 1, (1 << 53) + 1];
+        let kinds = [
             EventKind::Block {
                 candidates: u64::MAX,
             },
@@ -1481,16 +1483,26 @@ mod tests {
                 heap_delta: i64::MAX,
                 heap_peak: 0,
             },
-        ] {
-            let e = Event {
-                seq: u64::MAX,
-                seed: u64::MAX,
-                t_us: 0,
-                span: Some(u64::MAX),
-                kind,
-            };
-            let line = e.to_json();
-            assert_eq!(Event::parse(&line).as_ref(), Ok(&e), "{line}");
+            EventKind::UncHist {
+                source: "s".into(),
+                lo: 0.0,
+                hi: 1.0,
+                mean: 0.5,
+                counts: extremes.to_vec(),
+            },
+        ];
+        for n in extremes {
+            for kind in kinds.clone() {
+                let e = Event {
+                    seq: n,
+                    seed: n,
+                    t_us: 0,
+                    span: Some(n),
+                    kind,
+                };
+                let line = e.to_json();
+                assert_eq!(Event::parse(&line).as_ref(), Ok(&e), "{line}");
+            }
         }
     }
 

@@ -170,9 +170,9 @@ impl ObjectWriter {
 
 /// A parsed flat object with typed field access. Every accessor fails on
 /// a missing field or a value of the wrong type; the `opt_` ones also
-/// accept `null`. The integer accessors take only whole numbers inside
-/// their type's range and name the field of any other number. A repeated
-/// key reads its first value.
+/// accept `null`. The integer accessors read an integer literal exactly,
+/// take only whole numbers inside their type's range, and name the field
+/// of any other number. A repeated key reads its first value.
 pub struct FlatObject(Vec<(String, JsonVal)>);
 
 impl FlatObject {
@@ -200,6 +200,21 @@ impl FlatObject {
         read(v).ok_or_else(|| format!("field '{key}' is not {want}: {v:?}"))
     }
 
+    fn opt_number(&self, key: &str) -> Result<Option<Number>, String> {
+        self.typed(key, "a number", |v| match v {
+            JsonVal::Num(n) => Some(Some(*n)),
+            JsonVal::Null => Some(None),
+            _ => None,
+        })
+    }
+
+    fn numbers(&self, key: &str) -> Result<&[Number], String> {
+        self.typed(key, "an array", |v| match v {
+            JsonVal::Arr(vs) => Some(vs.as_slice()),
+            _ => None,
+        })
+    }
+
     /// A number.
     pub fn num(&self, key: &str) -> Result<f64, String> {
         self.opt_num(key)?
@@ -208,33 +223,32 @@ impl FlatObject {
 
     /// A number or `null`.
     pub fn opt_num(&self, key: &str) -> Result<Option<f64>, String> {
-        self.typed(key, "a number", |v| match v {
-            JsonVal::Num(n) => Some(Some(*n)),
-            JsonVal::Null => Some(None),
-            _ => None,
-        })
+        Ok(self.opt_number(key)?.map(|n| n.value))
     }
 
-    /// A whole number in `0..=2⁶⁴`, as `u64`.
+    /// A whole number in `0..2⁶⁴`, as `u64`.
     pub fn u64(&self, key: &str) -> Result<u64, String> {
-        to_u64(key, self.num(key)?)
+        self.opt_u64(key)?
+            .ok_or_else(|| format!("field '{key}' is null"))
     }
 
-    /// A whole number in `0..=2⁶⁴` or `null`, as `u64`.
+    /// A whole number in `0..2⁶⁴` or `null`, as `u64`.
     pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        self.opt_num(key)?.map(|n| to_u64(key, n)).transpose()
+        let n = self.opt_number(key)?;
+        n.map(|n| n.whole(key, "a u64")).transpose()
     }
 
-    /// An array of whole numbers in `0..=2⁶⁴`, as `u64`s.
+    /// An array of whole numbers in `0..2⁶⁴`, as `u64`s.
     pub fn u64s(&self, key: &str) -> Result<Vec<u64>, String> {
-        self.nums(key)?.iter().map(|&n| to_u64(key, n)).collect()
+        let numbers = self.numbers(key)?;
+        numbers.iter().map(|n| n.whole(key, "a u64")).collect()
     }
 
-    /// A whole number in `-2⁶³..=2⁶³`, as `i64`.
+    /// A whole number in `-2⁶³..2⁶³`, as `i64`.
     pub fn i64(&self, key: &str) -> Result<i64, String> {
-        let n = self.num(key)?;
-        whole(key, n, "an i64", i64::MIN as f64, i64::MAX as f64)?;
-        Ok(n as i64)
+        let n = self.opt_number(key)?;
+        n.ok_or_else(|| format!("field '{key}' is null"))?
+            .whole(key, "an i64")
     }
 
     /// A string.
@@ -261,29 +275,28 @@ impl FlatObject {
     }
 
     /// An array of numbers.
-    pub fn nums(&self, key: &str) -> Result<&[f64], String> {
-        self.typed(key, "an array", |v| match v {
-            JsonVal::Arr(vs) => Some(vs.as_slice()),
-            _ => None,
-        })
+    pub fn nums(&self, key: &str) -> Result<Vec<f64>, String> {
+        Ok(self.numbers(key)?.iter().map(|n| n.value).collect())
     }
 }
 
-/// `n` as `u64`, when it is a whole number in `0..=2⁶⁴`.
-fn to_u64(key: &str, n: f64) -> Result<u64, String> {
-    whole(key, n, "a u64", 0.0, u64::MAX as f64)?;
-    Ok(n as u64)
+/// A parsed JSON number: the nearest `f64`, and for an integer literal
+/// (no `.`, `e` or `E`) that fits an `i128`, its exact value, which `f64`
+/// rounds above 2⁵³.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Number {
+    value: f64,
+    exact: Option<i128>,
 }
 
-/// Fails, naming `key`, unless `n` is a whole number in `lo..=hi`. The
-/// bounds are an integer type's `MIN` and `MAX` as `f64`, which rounds
-/// `MAX` up to the next power of two: the number that `MAX` written out in
-/// decimal parses to, and that `as` casts back to `MAX`.
-fn whole(key: &str, n: f64, want: &str, lo: f64, hi: f64) -> Result<(), String> {
-    if n.fract() == 0.0 && (lo..=hi).contains(&n) {
-        Ok(())
-    } else {
-        Err(format!("field '{key}' is not {want}: {n}"))
+impl Number {
+    /// The number in the integer type `T`, or an error naming `key`: an
+    /// integer literal converts exactly, any other literal when it is
+    /// whole. `as` saturates, so a float beyond `i128` stays out of range.
+    fn whole<T: TryFrom<i128>>(self, key: &str, want: &str) -> Result<T, String> {
+        let int = (self.value.fract() == 0.0).then_some(self.value as i128);
+        (self.exact.or(int).and_then(|i| T::try_from(i).ok()))
+            .ok_or_else(|| format!("field '{key}' is not {want}: {}", self.value))
     }
 }
 
@@ -291,8 +304,8 @@ fn whole(key: &str, n: f64, want: &str, lo: f64, hi: f64) -> Result<(), String> 
 /// numbers — objects never nest).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonVal {
-    /// A number (integers included; the schema stays under 2^53).
-    Num(f64),
+    /// A number.
+    Num(Number),
     /// A string.
     Str(String),
     /// A boolean.
@@ -300,7 +313,7 @@ pub enum JsonVal {
     /// `null`.
     Null,
     /// An array of numbers (histogram bucket counts).
-    Arr(Vec<f64>),
+    Arr(Vec<Number>),
 }
 
 /// Parse a flat JSON object (string/number/bool/null/number-array values)
@@ -383,7 +396,7 @@ pub fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
 fn parse_number(
     chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
     context: &str,
-) -> Result<f64, String> {
+) -> Result<Number, String> {
     let mut num = String::new();
     while let Some(&c) = chars.peek() {
         if c.is_ascii_digit() || "+-.eE".contains(c) {
@@ -393,8 +406,15 @@ fn parse_number(
             break;
         }
     }
-    num.parse()
-        .map_err(|_| format!("bad number '{num}' in {context}"))
+    let value = num
+        .parse()
+        .map_err(|_| format!("bad number '{num}' in {context}"))?;
+    let exact = if num.contains(['.', 'e', 'E']) {
+        None
+    } else {
+        num.parse().ok()
+    };
+    Ok(Number { value, exact })
 }
 
 fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {

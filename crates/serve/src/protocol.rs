@@ -202,7 +202,7 @@ impl Request {
                 };
                 let pairs = left
                     .iter()
-                    .zip(right)
+                    .zip(&right)
                     .map(|(&l, &r)| Ok((to_u32(l, "left")?, to_u32(r, "right")?)))
                     .collect::<Result<Vec<_>, String>>()?;
                 // `deadline_ms` is optional: absent and `null` both mean none.
@@ -494,7 +494,7 @@ mod tests {
         let with = |d: &str| {
             format!(r#"{{"op":"match","id":"x","left":[1],"right":[2],"deadline_ms":{d}}}"#)
         };
-        for bad in ["-5", "2.5", "1e300"] {
+        for bad in ["-5", "2.5", "1e300", "18446744073709551616"] {
             let err = Request::parse(&with(bad)).expect_err(bad);
             assert!(err.contains("'deadline_ms'"), "{bad}: {err}");
         }
@@ -502,6 +502,8 @@ mod tests {
             ("0", Some(0)),
             ("null", None),
             ("18446744073709551615", Some(u64::MAX)),
+            ("18446744073709551614", Some(u64::MAX - 1)),
+            ("9007199254740993", Some((1 << 53) + 1)),
         ] {
             match Request::parse(&with(d)) {
                 Ok(Request::Match { deadline_ms, .. }) => assert_eq!(deadline_ms, want, "{d}"),

@@ -136,7 +136,7 @@ if cargo run --release -q -p promptem-cli --bin promptem -- \
     exit 1
 fi
 
-echo "==> chaos (failpoint kill mid-run, resume, diff against uninterrupted base)"
+echo "==> chaos (failpoint kill mid-run, resume, diff against uninterrupted base; injected NaN losses)"
 if PROMPTEM_FAILPOINTS=batch:panic@28 \
     cargo run --release -q -p promptem-cli --bin promptem -- \
     match --left "$smoke_dir/left.csv" --right "$smoke_dir/right.csv" \
@@ -156,6 +156,19 @@ cargo run --release -q -p promptem-cli --bin promptem -- \
     --metrics-out "$smoke_dir/resumed.jsonl" >/dev/null
 cargo run --release -q -p promptem-cli --bin promptem -- \
     report --diff "$smoke_dir/base.jsonl" "$smoke_dir/resumed.jsonl"
+# One injected NaN loss in pretraining (batch 5) and one in tuning (batch
+# 30): each step is skipped before backward, and the run still succeeds.
+PROMPTEM_FAILPOINTS=batch:nan@5,batch:nan@30 \
+    cargo run --release -q -p promptem-cli --bin promptem -- \
+    match --left "$smoke_dir/left.csv" --right "$smoke_dir/right.csv" \
+    --labels "$smoke_dir/train.csv" --seed 7 --trace warn \
+    --pretrain-steps 20 --epochs 1 --metrics-out "$smoke_dir/nan.jsonl" >/dev/null
+for phase in pretrain tune; do
+    grep -q "\"type\":\"recovered_batch\",\"phase\":\"$phase\"" "$smoke_dir/nan.jsonl" || {
+        echo "chaos: an injected NaN in $phase left no recovered_batch event" >&2
+        exit 1
+    }
+done
 
 echo "==> serve (chaos service: worker kill + injected sheds, byte parity vs offline)"
 cargo run --release -q -p promptem-cli --bin promptem -- \
